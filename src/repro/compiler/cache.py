@@ -33,12 +33,21 @@ Soundness notes:
   ``default`` sentinel and a hit reuses the template's stored ordering:
   min-degree ordering depends only on sparsity structure, so it is
   identical — and the (expensive) linearize it requires is skipped.
+
+Sharing: optimizer calls on the compiled backends solve through the
+process-wide :func:`default_cache` with *admit-on-reuse*
+(:meth:`CompilationCache.admits`).  The first call to see a structure
+is served by a private per-call cache; a later call on it compiles into
+the shared cache, and every call after that rebinds.  Structures that
+never recur (e.g. Quadrotor's per-frame VIO windows) never occupy the
+shared LRU.  One lock per cache guards its shared state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -410,27 +419,41 @@ def rebind(template, graph: FactorGraph, values: Values,
 # ----------------------------------------------------------------------
 
 class CompilationCache:
-    """LRU cache of compiled templates keyed by structural key."""
+    """LRU cache of compiled templates keyed by structural key.
+
+    One lock covers every piece of shared state — the entries (lookup,
+    insert, evict), the per-entry rename/variant memos, the admission
+    record and the hit/miss counters — so one cache can serve solves on
+    several threads.  Cold compiles and rebinds run outside the lock.
+    """
 
     def __init__(self, max_entries: int = 64):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
+        # Hashes of structural keys that one optimizer call has seen
+        # but the cache has not admitted yet (see :meth:`admits`).
+        self._seen: "OrderedDict[int, None]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._entries.clear()
+            self._seen.clear()
+            self.hits = 0
+            self.misses = 0
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._entries)}
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "entries": len(self._entries)}
 
     def evict(self, key: Tuple) -> bool:
         """Drop one entry (and its variants) by structural key.
@@ -439,39 +462,75 @@ class CompilationCache:
         fails its integrity check — a poisoned entry must be recompiled
         cold, not reused.  Returns whether the key was present.
         """
-        entry = self._entries.pop(key, None)
+        with self._lock:
+            entry = self._entries.pop(key, None)
         if entry is not None:
             counters.incr("compiler.cache.evictions")
         return entry is not None
 
     def templates(self) -> Dict[Tuple, "CacheEntry"]:
         """The live entries by structural key (for integrity tooling)."""
-        return dict(self._entries)
+        with self._lock:
+            return dict(self._entries)
+
+    def admits(self, key: Tuple) -> bool:
+        """Admit-on-reuse: should this cache serve a call on ``key``?
+
+        True when the structure is cached, or when an earlier call has
+        already seen it (the structure is admitted: the caller compiles
+        it into this cache).  Otherwise the key's hash is recorded and
+        the answer is False: the caller serves the call from a private
+        cache, so a structure that is never reused never takes a slot.
+        """
+        with self._lock:
+            if key in self._entries:
+                return True
+            seen = hash(key)
+            if seen in self._seen:
+                del self._seen[seen]
+                admitted = True
+            else:
+                self._seen[seen] = None
+                while len(self._seen) > 4 * self.max_entries:
+                    self._seen.popitem(last=False)
+                admitted = False
+        counters.incr("compiler.cache.admit" if admitted
+                      else "compiler.cache.deferred")
+        return admitted
 
     def compile(self, graph: FactorGraph, values: Values,
                 ordering: Optional[Sequence[Key]] = None, *,
                 algorithm: str = "", register_prefix: str = "",
-                extra: Tuple = ()):
-        """Compile with caching: cold compile on miss, rebind on hit."""
-        structure = graph_structure(graph, values, ordering, extra)
-        entry = self._entries.get(structure.key)
+                extra: Tuple = (),
+                structure: Optional[GraphStructure] = None):
+        """Compile with caching: cold compile on miss, rebind on hit.
+
+        ``structure`` is the :func:`graph_structure` of the same
+        arguments when the caller has already computed it.
+        """
+        if structure is None:
+            structure = graph_structure(graph, values, ordering, extra)
+        with self._lock:
+            entry = self._entries.get(structure.key)
+            if entry is not None:
+                self._entries.move_to_end(structure.key)
+                self.hits += 1
         if entry is None:
             from repro.compiler.codegen import compile_graph
 
             compiled = compile_graph(graph, values, ordering,
                                      algorithm=algorithm,
                                      register_prefix=register_prefix)
-            self._entries[structure.key] = CacheEntry(
-                compiled, algorithm, register_prefix
-            )
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            self.misses += 1
+            with self._lock:
+                self._entries[structure.key] = CacheEntry(
+                    compiled, algorithm, register_prefix
+                )
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+                self.misses += 1
             counters.incr("compiler.cache.miss")
             return compiled
 
-        self._entries.move_to_end(structure.key)
-        self.hits += 1
         counters.incr("compiler.cache.hit")
         started = time.perf_counter_ns()
         with trace.span("compiler.cache.rebind", category="compiler.pass",
@@ -481,18 +540,21 @@ class CompilationCache:
                 rebound = rebind(entry.compiled, graph, values, structure,
                                  entry.algorithm, entry.register_prefix)
             else:
-                if entry.variants is None:
-                    entry.variants = {}
                 variant_key = (algorithm, register_prefix)
-                variant = entry.variants.get(variant_key)
+                with self._lock:
+                    if entry.variants is None:
+                        entry.variants = {}
+                    variant = entry.variants.get(variant_key)
+                    rename_map = None if variant is not None \
+                        else entry.rename_map(register_prefix)
                 if variant is None:
                     rebound = rebind(
                         entry.compiled, graph, values, structure,
                         entry.algorithm, entry.register_prefix,
-                        algorithm, register_prefix,
-                        rename_map=entry.rename_map(register_prefix),
+                        algorithm, register_prefix, rename_map=rename_map,
                     )
-                    entry.variants[variant_key] = rebound
+                    with self._lock:
+                        entry.variants.setdefault(variant_key, rebound)
                 else:
                     rebound = rebind(variant, graph, values, structure,
                                      algorithm, register_prefix)

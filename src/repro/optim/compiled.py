@@ -6,7 +6,9 @@ through the ORIANNA compiler: the first iteration compiles the graph to
 an instruction program (codegen + QR schedule + ordering search), and
 every subsequent iteration *rebinds* the cached template with the fresh
 linearization point — the compile-once/bind-many execution model of the
-accelerator (Fig. 3), at host-software scale.
+accelerator (Fig. 3), at host-software scale.  Templates outlive one
+optimizer call: solvers share the process compilation cache, which
+admits a structure once a second call sees it.
 
 LM damping is expressed inside the factor-graph abstraction: each trial
 appends per-variable :class:`~repro.factors.PriorFactor` rows anchored
@@ -52,13 +54,21 @@ class CompiledSolver:
     ``resilience.supervisor.fallback`` obs event with the reason.
     """
 
-    def __init__(self, cache=None, max_entries: int = 8,
-                 executor_factory=None, executor: Optional[str] = None):
-        from repro.compiler.cache import CompilationCache
+    def __init__(self, cache=None, executor_factory=None,
+                 executor: Optional[str] = None):
+        from repro.compiler.cache import (
+            CompilationCache, cache_enabled, default_cache)
         from repro.compiler.fused import _validate_name
 
-        self.cache = cache if cache is not None \
-            else CompilationCache(max_entries=max_entries)
+        # An injected cache serves every solve.  Otherwise solves share
+        # the process cache (unless disabled), which admits a structure
+        # on its second optimizer call: the first call to see it is
+        # served by a private cache (see CompilationCache.admits).
+        self._admitting = cache is None and cache_enabled()
+        if cache is None:
+            cache = default_cache() if self._admitting \
+                else CompilationCache()
+        self.cache = cache
         self.executor_factory = executor_factory
         self.executor = None if executor is None else _validate_name(executor)
         # Structure fingerprints whose fused→interpreter fallback has
@@ -99,12 +109,13 @@ class CompiledSolver:
             "back to the instruction-level path",
             RuntimeWarning, stacklevel=4)
 
-    def _resolve_factory(self, fingerprint: Optional[str] = None):
+    def _resolve_factory(self, structure=None):
         from repro.compiler import fused
 
         if self.executor_factory is not None:
             if self._wants_fused():
-                self._note_factory_fallback(fingerprint or "")
+                self._note_factory_fallback(
+                    structure.fingerprint[:12] if structure else "")
             return self.executor_factory
         return fused.executor_factory(self.executor)
 
@@ -127,18 +138,26 @@ class CompiledSolver:
             import time
 
             started = time.perf_counter()
-        fingerprint = None
-        if self.executor_factory is not None and self._wants_fused():
-            from repro.compiler.cache import structural_fingerprint
+        structure = None
+        if self._admitting or (self.executor_factory is not None
+                               and self._wants_fused()):
+            from repro.compiler.cache import graph_structure
 
-            fingerprint = structural_fingerprint(graph, values,
-                                                 ordering)[:12]
+            structure = graph_structure(graph, values, ordering)
         with trace.span("solve.compile", category="host.phase") as sp:
+            if self._admitting and not self.cache.admits(structure.key):
+                # Deferred: this call, and the rest of it, compiles
+                # into a private cache.
+                from repro.compiler.cache import CompilationCache
+
+                self.cache = CompilationCache()
+                self._admitting = False
             hits_before = self.cache.hits
-            compiled = self.cache.compile(graph, values, ordering)
+            compiled = self.cache.compile(graph, values, ordering,
+                                          structure=structure)
             sp.set(kind="rebind" if self.cache.hits > hits_before
                    else "compile")
-        factory = self._resolve_factory(fingerprint)
+        factory = self._resolve_factory(structure)
         with trace.span("solve.execute", category="host.phase",
                         instructions=len(compiled.program)):
             registers = factory().run(compiled.program)

@@ -121,7 +121,10 @@ def gauss_newton(
     solves through the ORIANNA compiler with the structural compilation
     cache: the first iteration compiles the graph, every later iteration
     rebinds the cached template with fresh numerics (compile once, bind
-    many).  The compiled backend reports empty per-iteration elimination
+    many).  Calls share the process cache (:func:`repro.compiler.cache.
+    default_cache`) once a structure recurs, so a repeated structure
+    is compiled once per process, not once per call.  The compiled
+    backend reports empty per-iteration elimination
     stats (QR shapes live in the compiled program, not the solver).
     ``backend="fused"`` is the compiled backend executed through the
     fused vectorized plan (:mod:`repro.compiler.fused`) — bit-identical

@@ -85,9 +85,11 @@ def levenberg_marquardt(
     linearize to exactly the ``sqrt(lambda) I`` rows of
     :func:`damped_graph`), so the damped graph's structure is the same
     for every iteration and every lambda trial — one compile, then
-    rebinds.  The compiled backend reports empty per-trial elimination
-    stats.  ``backend="fused"`` is the compiled backend executed through
-    the fused vectorized plan (:mod:`repro.compiler.fused`).
+    rebinds; like Gauss-Newton, calls share the process cache once a
+    structure recurs.  The compiled backend reports empty per-trial
+    elimination stats.  ``backend="fused"`` is the compiled backend
+    executed through the fused vectorized plan
+    (:mod:`repro.compiler.fused`).
     ``backend="supervised"`` (or a process-wide
     :func:`repro.resilience.supervisor.enable_supervision`) runs every
     damped trial through the supervised pipeline — deadlines, bounded

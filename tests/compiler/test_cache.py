@@ -6,6 +6,9 @@ miss), provenance preservation across rebind, the obs counters, LRU
 eviction, and the process-wide enable toggle.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,33 @@ class TestCachePolicy:
         cache.clear()
         assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
+    def test_admits_on_second_sighting(self):
+        g, v = chain(0)
+        key = graph_structure(g, v).key
+        cache = CompilationCache()
+        assert not cache.admits(key)
+        assert cache.admits(key)
+        cache.compile(g, v)
+        assert cache.admits(key)
+
+    def test_clear_resets_admission_record(self):
+        g, v = chain(0)
+        key = graph_structure(g, v).key
+        cache = CompilationCache()
+        assert not cache.admits(key)
+        cache.clear()
+        assert not cache.admits(key)
+
+    def test_admission_record_is_bounded(self):
+        cache = CompilationCache(max_entries=1)
+        keys = [graph_structure(*chain(0, num_poses=n)).key
+                for n in range(2, 8)]
+        for key in keys:
+            assert not cache.admits(key)
+        # Only the last 4 * max_entries sightings are remembered.
+        assert not cache.admits(keys[0])
+        assert cache.admits(keys[-1])
+
     def test_counters_emitted_when_observing(self):
         obs.enable()
         try:
@@ -169,6 +199,42 @@ class TestCachePolicy:
         assert snapshot.counters["compiler.cache.miss"] == 1
         assert snapshot.counters["compiler.cache.hit"] == 1
         assert snapshot.counters["compiler.cache.rebind_ns"] > 0
+
+
+class TestConcurrency:
+    def test_concurrent_compiles_with_eviction(self):
+        """Threads hitting, missing and evicting one small cache never
+        lose a count or corrupt the LRU."""
+        problems = [chain(seed, num_poses=n)
+                    for seed, n in ((0, 2), (1, 3), (2, 4))]
+        cache = CompilationCache(max_entries=2)
+        errors = []
+        barrier = threading.Barrier(4, timeout=60)
+
+        def worker(index):
+            try:
+                barrier.wait()
+                for step in range(60):
+                    cache.compile(*problems[(index + step) % 3])
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 4 * 60
+        assert stats["entries"] == len(cache.templates()) <= 2
 
 
 class TestToggle:

@@ -9,6 +9,7 @@ error and the same estimates as the reference sparse elimination.
 import numpy as np
 import pytest
 
+from repro.compiler.cache import CompilationCache
 from repro.optim import gauss_newton, levenberg_marquardt
 from repro.optim.compiled import CompiledSolver, damped_nonlinear_graph
 
@@ -55,7 +56,7 @@ def test_unknown_backend_rejected():
 
 def test_compiled_solver_caches_across_iterations():
     graph, values = random_problem(2, 5)
-    solver = CompiledSolver()
+    solver = CompiledSolver(cache=CompilationCache())
     solver.solve(graph, values)
     stepped = values.retract({k: 0.01 * np.ones(values.dim(k))
                               for k in values.keys()})
