@@ -139,7 +139,7 @@ def generate_accelerator(
     steps: List[OptimizationStep] = []
 
     for _ in range(max_steps):
-        best: Optional[Tuple[float, str, AcceleratorConfig]] = None
+        best: Optional[Tuple[float, str, AcceleratorConfig, float]] = None
         for unit in ALL_UNIT_CLASSES:
             candidate = config.with_extra_unit(unit)
             if not candidate.fits(budget):
@@ -151,11 +151,11 @@ def generate_accelerator(
             dsp_cost = max(1, candidate.templates[unit].resources.dsp)
             gain = (current - value) / dsp_cost
             if best is None or gain > best[0]:
-                best = (gain, unit, candidate)
+                best = (gain, unit, candidate, value)
         if best is None:
             break
-        _, unit, candidate = best
-        value = evaluate(candidate)
+        # The simulator is deterministic: the winner's value is final.
+        _, unit, candidate, value = best
         steps.append(OptimizationStep(unit, current, value,
                                       candidate.resources()))
         config, current = candidate, value

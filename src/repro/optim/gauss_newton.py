@@ -163,6 +163,8 @@ def gauss_newton(
     records = []
     converged = False
     budget = SolveBudget(params.max_wall_clock_s, label="gauss_newton")
+    # graph.error(values), carried from the accepted step that set values.
+    error: Optional[float] = None
 
     def degraded(iteration: int, context: str) -> OptimizationResult:
         counters.incr("resilience.solver.gn_nonfinite")
@@ -175,7 +177,7 @@ def gauss_newton(
         budget.check(iteration)
         with trace.span("gn.iteration", category="optimizer",
                         iteration=iteration, backend=backend) as sp:
-            error_before = graph.error(values)
+            error_before = graph.error(values) if error is None else error
             if not is_finite_scalar(error_before):
                 return degraded(iteration, "residual error")
             try:
@@ -206,7 +208,7 @@ def gauss_newton(
                 # Keep the pre-step iterate: the step itself is what
                 # left the feasible region.
                 return degraded(iteration, "post-step residual error")
-            values = trial
+            values, error = trial, error_after
             sp.set(error_before=error_before, error_after=error_after,
                    step_norm=norm)
             record_iteration("gn", error_after, norm)

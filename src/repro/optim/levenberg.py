@@ -121,12 +121,14 @@ def levenberg_marquardt(
     records = []
     converged = False
     budget = SolveBudget(params.max_wall_clock_s, label="levenberg_marquardt")
+    # graph.error(values), carried from the accepted step that set values.
+    error: Optional[float] = None
 
     for iteration in range(params.max_iterations):
         budget.check(iteration)
         with trace.span("lm.iteration", category="optimizer",
                         iteration=iteration, backend=backend) as sp:
-            error_before = graph.error(values)
+            error_before = graph.error(values) if error is None else error
             if not is_finite_scalar(error_before):
                 # The *current* iterate is already corrupt — damping
                 # cannot help because there is no finite reference to
@@ -187,7 +189,7 @@ def levenberg_marquardt(
                     continue
                 if error_after <= error_before:
                     accepted = True
-                    values = trial_values
+                    values, error = trial_values, error_after
                     sp.set(error_before=error_before,
                            error_after=error_after, step_norm=norm,
                            damping=lam, trials=trials)

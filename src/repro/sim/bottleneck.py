@@ -27,15 +27,22 @@ TMA-style bottleneck analysis over simulated schedules, in three parts:
   by resimulating with the modified :class:`AcceleratorConfig` and
   reports predicted-vs-measured speedup.
 
-Cause labels are exact where the engine examines an instruction every
-round (out-of-order issue with an unbounded port) and a best-effort
-tiling elsewhere: a segment between two examinations carries the cause
-observed at the examination that opened it, and a segment during which
-the instruction was never examined falls back to the policy's default
-(``width`` under out-of-order, the head-of-line/no-overlap cause in
-order).  The *total* wait per instruction is always exact — the segments
-tile ``[ready, issue)`` by construction — only the split between labels
-is approximate in those corners.
+Cause labels are exact under out-of-order issue with an unbounded port.
+There a ready instruction that does not issue is waiting on its own unit
+class, and that ``structural.<unit>`` cause cannot change until it
+issues, so the engine (which keeps one ready queue per unit class and
+only touches the instructions it issues) closes its single segment at
+issue.  Elsewhere labels are a best-effort tiling.  With a finite port,
+a round that runs the port dry walks the ready set once and labels
+``width`` every instruction it never reached, though some of those also
+lacked a free unit.  In general a segment between two examinations
+carries the cause observed at the examination that opened it, and a
+segment during which the instruction was never examined falls back to
+the policy's default (``width`` under out-of-order, the
+head-of-line/no-overlap cause in order).  The *total* wait per
+instruction is always exact — the segments tile ``[ready, issue)`` by
+construction — only the split between labels is approximate in those
+corners.
 """
 
 from __future__ import annotations
@@ -77,11 +84,12 @@ class WaitTracker:
     """Dispatch-ready vs issue bookkeeping for one ``Simulator.run``.
 
     The engine calls :meth:`mark_ready` when an instruction's last
-    operand arrives, :meth:`close` at every examination (tiling the wait
-    into cause-labelled segments), :meth:`block` when an examination
-    defers the instruction, and :meth:`sample_depths` once per
-    scheduling round with the per-unit-class count of ready-but-deferred
-    instructions.  Pure bookkeeping: it never influences scheduling.
+    operand arrives, :meth:`close` when it issues or its wait cause
+    changes (tiling the wait into cause-labelled segments), :meth:`block`
+    to record the cause of the segment that follows, and
+    :meth:`sample_depths` once per scheduling round with the
+    per-unit-class count of ready-but-deferred instructions.  Pure
+    bookkeeping: it never influences scheduling.
     """
 
     __slots__ = ("default_cause", "ready_time", "gated_by", "wait_from",
@@ -107,10 +115,14 @@ class WaitTracker:
     def close(self, uid: int, now: float) -> None:
         """Close the open wait segment ``[wait_from, now)``.
 
-        The segment's cause is whatever the previous examination
-        recorded via :meth:`block`; a segment with no recorded cause
-        (the instruction was never examined during it) falls back to
-        the policy default.
+        The segment's cause is whatever :meth:`block` last recorded; a
+        segment with no recorded cause (the instruction was never
+        examined during it) falls back to the policy default.  Closing
+        need not happen every round: back-to-back segments with one
+        cause add up to the same total as a single segment (all times
+        are whole cycles, so the float sums are exact), which is why the
+        out-of-order engine closes a structurally blocked instruction
+        only once, at issue.
         """
         since = self.wait_from.get(uid)
         if since is None or now <= since:
@@ -122,9 +134,6 @@ class WaitTracker:
 
     def block(self, uid: int, cause: str) -> None:
         self.blocked_cause[uid] = cause
-
-    def block_if_unset(self, uid: int, cause: str) -> None:
-        self.blocked_cause.setdefault(uid, cause)
 
     def sample_depths(self, now: float, counts: Mapping[str, int]) -> None:
         """Record per-unit ready-queue depth at a scheduling round."""

@@ -95,19 +95,22 @@ class Simulator:
         if fault_plan is not None:
             fault_counts = fault_plan.apply_timing(program, latencies,
                                                    energies)
+        # Per-run uid tables (uids index the instruction list).
+        unit_of = [instr.unit for instr in instructions]
+        latency_of = [latencies[uid] for uid in range(len(instructions))]
 
         # Per-unit-class instance free times (min-heaps of ready-at times).
         unit_free: Dict[str, List[float]] = {
             unit: [0.0] * count
             for unit, count in self.config.unit_counts.items()
         }
-        for heap in unit_free.values():
-            heapq.heapify(heap)
 
         finish: Dict[int, float] = {}
         start: Dict[int, float] = {}
         pending_preds: Dict[int, Set[int]] = {}
-        ready: List[int] = []   # uid heap (program order priority)
+        # Out-of-order ready set: one uid heap (program order priority)
+        # per unit class.
+        queues: Dict[str, List[int]] = {}
         completion_events: List[Tuple[float, int]] = []
 
         # CONST instructions are preloaded before execution starts.
@@ -120,6 +123,16 @@ class Simulator:
         # accounting (repro.sim.bottleneck).  Pure observation: it never
         # feeds back into scheduling decisions.
         tracker = WaitTracker(policy)
+        structural = {unit: structural_cause(unit) for unit in set(unit_of)}
+
+        def make_ready(uid: int, now: float,
+                       producer: Optional[int] = None) -> None:
+            tracker.mark_ready(uid, now, producer)
+            if policy == "ooo":
+                # Out of order, a ready instruction that does not issue
+                # is waiting on its own unit class (see the round below).
+                tracker.block(uid, structural[unit_of[uid]])
+                heapq.heappush(queues.setdefault(unit_of[uid], []), uid)
 
         for instr in instructions:
             if instr.op is Opcode.CONST:
@@ -127,8 +140,7 @@ class Simulator:
             preds = {d for d in deps[instr.uid] if d not in finish}
             pending_preds[instr.uid] = preds
             if not preds:
-                tracker.mark_ready(instr.uid, 0.0)
-                heapq.heappush(ready, instr.uid)
+                make_ready(instr.uid, 0.0)
 
         dependents: Dict[int, List[int]] = {}
         for uid, preds in pending_preds.items():
@@ -146,86 +158,134 @@ class Simulator:
         # always on (it is nearly free and feeds SimulationResult);
         # export to the obs collector happens once at end of run.
         stalls = {"structural": 0, "raw": 0, "overlap": 0, "width": 0}
+        # Out of order: instructions the last port-exhausted round left
+        # labelled ``width``; the next round that examines them relabels.
+        width_blocked: List[int] = []
+        width = (self.issue_width if self.issue_width is not None
+                 else float("inf"))
 
-        def try_issue() -> bool:
-            """Issue as many instructions as the policy allows at `now`."""
-            nonlocal next_inorder, inflight
-            progress = False
-            slots = self.issue_width if self.issue_width is not None else (
-                float("inf")
-            )
-            if policy == "ooo":
-                deferred = []
-                while ready and slots > 0:
-                    uid = heapq.heappop(ready)
-                    if self._issue_one(uid, instructions, latencies,
-                                       unit_free, now, start, finish,
-                                       completion_events, busy_cycles):
+        def issue(uid: int) -> bool:
+            """Issue ``uid`` at ``now``; False if its unit class is busy."""
+            nonlocal inflight
+            unit = unit_of[uid]
+            done = now
+            if unit != UNIT_NONE:
+                free = unit_free.get(unit)
+                if not free:
+                    raise SimulationError(
+                        f"no unit instances of class {unit!r} configured "
+                        f"(needed by {instructions[uid].describe()})"
+                    )
+                if free[0] > now:
+                    return False
+                latency = latency_of[uid]
+                done = now + latency
+                heapq.heapreplace(free, done)
+                busy_cycles[unit] = busy_cycles.get(unit, 0.0) + latency
+            start[uid] = now
+            finish[uid] = done
+            heapq.heappush(completion_events, (done, uid))
+            tracker.close(uid, now)
+            issued.add(uid)
+            inflight += 1
+            return True
+
+        def can_issue(unit: str) -> bool:
+            # A class with no instances counts as issuable so that its
+            # first examined instruction raises, as in program order.
+            free = unit_free.get(unit)
+            return unit == UNIT_NONE or not free or free[0] <= now
+
+        def issue_ooo() -> None:
+            """One out-of-order scheduling round at ``now``.
+
+            Examining the ready set in uid order, an instruction issues
+            iff its class still has a free instance, and a class that
+            runs out stays out for the round.  So merging the heads of
+            the classes that can issue reproduces that order while
+            touching only the instructions that issue.  The others keep
+            their ``structural.<unit>`` label, which cannot change while
+            they wait: their segments close once, at issue, with the
+            same (integer-valued, hence exact) float totals.
+            """
+            nonlocal width_blocked
+            slots = width
+            heads = [(queue[0], unit) for unit, queue in queues.items()
+                     if queue and can_issue(unit)]
+            heapq.heapify(heads)
+            last = -1
+            while heads and slots > 0:
+                uid, unit = heads[0]
+                queue = queues[unit]
+                heapq.heappop(queue)
+                issue(uid)
+                slots -= 1
+                last = uid
+                if queue and can_issue(unit):
+                    heapq.heapreplace(heads, (queue[0], unit))
+                else:
+                    heapq.heappop(heads)
+
+            depth = {unit: len(queue) for unit, queue in queues.items()
+                     if queue}
+            waiting = sum(depth.values())
+            if waiting and slots == 0:
+                # The dispatch port ran out at ``last``: younger
+                # instructions were never examined this round.
+                width_blocked = []
+                for unit, queue in queues.items():
+                    for uid in queue:
                         tracker.close(uid, now)
-                        issued.add(uid)
-                        inflight += 1
-                        progress = True
-                        slots -= 1
-                    else:
-                        tracker.close(uid, now)
-                        tracker.block(
-                            uid, structural_cause(instructions[uid].unit))
-                        deferred.append(uid)
-                # Counted per round, not per attempt, to keep the issue
-                # loop free of bookkeeping overhead.
-                if deferred:
-                    stalls["structural"] += len(deferred)
-                if ready and slots == 0:
+                        if uid < last:
+                            stalls["structural"] += 1
+                            tracker.block(uid, structural[unit])
+                        else:
+                            tracker.block(uid, CAUSE_WIDTH)
+                            width_blocked.append(uid)
+                if width_blocked:
                     stalls["width"] += 1
-                    # Instructions never examined this round: the
-                    # dispatch port ran dry before reaching them.
-                    for uid in ready:
-                        tracker.close(uid, now)
-                        tracker.block(uid, CAUSE_WIDTH)
-                for uid in deferred:
-                    heapq.heappush(ready, uid)
-                depth: Dict[str, int] = {}
-                for uid in ready:
-                    unit = instructions[uid].unit
-                    depth[unit] = depth.get(unit, 0) + 1
-                tracker.sample_depths(now, depth)
             else:
-                head_blocked_unit = ""
-                while next_inorder < len(order) and slots > 0:
-                    uid = order[next_inorder]
-                    if pending_preds.get(uid):
-                        stalls["raw"] += 1
-                        break  # head-of-line RAW stall
-                    if policy == "sequential" and inflight > 0:
-                        stalls["overlap"] += 1
+                stalls["structural"] += waiting
+                for uid in width_blocked:
+                    if uid not in issued:
                         tracker.close(uid, now)
-                        tracker.block(uid, CAUSE_SEQUENTIAL)
-                        break  # a naive controller never overlaps
-                    if not self._issue_one(uid, instructions, latencies,
-                                           unit_free, now, start, finish,
-                                           completion_events, busy_cycles):
-                        stalls["structural"] += 1
-                        tracker.close(uid, now)
-                        tracker.block(
-                            uid, structural_cause(instructions[uid].unit))
-                        head_blocked_unit = instructions[uid].unit
-                        break  # structural hazard
-                    tracker.close(uid, now)
-                    issued.add(uid)
-                    inflight += 1
-                    next_inorder += 1
-                    progress = True
-                    slots -= 1
-                if next_inorder < len(order) and slots == 0:
-                    stalls["width"] += 1
-                    head = order[next_inorder]
-                    if not pending_preds.get(head):
-                        tracker.close(head, now)
-                        tracker.block(head, CAUSE_WIDTH)
-                tracker.sample_depths(
-                    now, {head_blocked_unit: 1} if head_blocked_unit else {})
-            return progress
+                        tracker.block(uid, structural[unit_of[uid]])
+                width_blocked = []
+            tracker.sample_depths(now, depth)
 
+        def issue_in_order() -> None:
+            """Issue in program order until the head of line stalls."""
+            nonlocal next_inorder
+            slots = width
+            head_blocked_unit = ""
+            while next_inorder < len(order) and slots > 0:
+                uid = order[next_inorder]
+                if pending_preds.get(uid):
+                    stalls["raw"] += 1
+                    break  # head-of-line RAW stall
+                if policy == "sequential" and inflight > 0:
+                    stalls["overlap"] += 1
+                    tracker.close(uid, now)
+                    tracker.block(uid, CAUSE_SEQUENTIAL)
+                    break  # a naive controller never overlaps
+                if not issue(uid):
+                    stalls["structural"] += 1
+                    tracker.close(uid, now)
+                    tracker.block(uid, structural[unit_of[uid]])
+                    head_blocked_unit = unit_of[uid]
+                    break  # structural hazard
+                next_inorder += 1
+                slots -= 1
+            if next_inorder < len(order) and slots == 0:
+                stalls["width"] += 1
+                head = order[next_inorder]
+                if not pending_preds.get(head):
+                    tracker.close(head, now)
+                    tracker.block(head, CAUSE_WIDTH)
+            tracker.sample_depths(
+                now, {head_blocked_unit: 1} if head_blocked_unit else {})
+
+        try_issue = issue_ooo if policy == "ooo" else issue_in_order
         try_issue()
         while len(issued) < total_to_issue or completion_events:
             if not completion_events:
@@ -246,9 +306,7 @@ class Simulator:
                         if not preds and dep not in issued:
                             # f_uid is the last-arriving producer: the
                             # data dependency that gated dep's dispatch.
-                            tracker.mark_ready(dep, now, f_uid)
-                            if policy == "ooo":
-                                heapq.heappush(ready, dep)
+                            make_ready(dep, now, f_uid)
             try_issue()
 
         total_cycles = int(round(max(finish.values(), default=0.0)))
@@ -262,7 +320,7 @@ class Simulator:
         result.attribution = compute_attribution(program, latencies,
                                                  energies)
         result.critical_path = compute_critical_path(program, latencies,
-                                                     start, finish)
+                                                     start, finish, deps)
         result.cycle_accounting = compute_cycle_accounting(
             program, tracker, latencies, start, finish, result)
         if record_schedule or obs.is_enabled():
@@ -275,33 +333,6 @@ class Simulator:
         return result
 
     # ------------------------------------------------------------------
-    def _issue_one(self, uid, instructions, latencies, unit_free, now,
-                   start, finish, completion_events, busy_cycles) -> bool:
-        instr = instructions[uid]
-        unit = instr.unit
-        if unit == UNIT_NONE:
-            start[uid] = now
-            finish[uid] = now
-            heapq.heappush(completion_events, (now, uid))
-            return True
-        heap = unit_free.get(unit)
-        if not heap:
-            raise SimulationError(
-                f"no unit instances of class {unit!r} configured "
-                f"(needed by {instr.describe()})"
-            )
-        if heap[0] > now:
-            return False
-        free_at = heapq.heappop(heap)
-        del free_at
-        latency = latencies[uid]
-        start[uid] = now
-        finish[uid] = now + latency
-        heapq.heappush(heap, now + latency)
-        heapq.heappush(completion_events, (now + latency, uid))
-        busy_cycles[unit] = busy_cycles.get(unit, 0.0) + latency
-        return True
-
     def _telemetry(self, program: Program,
                    result: SimulationResult) -> Dict[str, object]:
         """The obs-collector record for one run (see repro.obs.metrics)."""
@@ -330,8 +361,8 @@ class Simulator:
                                    latencies: Dict[int, int]) -> None:
         """Debug-mode consistency checks over a recorded schedule.
 
-        Verifies that the ``unit_free`` heap bookkeeping in
-        :meth:`_issue_one` never over-subscribed a unit class: summed
+        Verifies that the ``unit_free`` heap bookkeeping of the issue
+        loop never over-subscribed a unit class: summed
         per-unit busy cycles must equal the scheduled instruction
         latencies, never exceed ``instances * makespan`` (utilization
         <= 1), and the schedule must be packable onto the configured
