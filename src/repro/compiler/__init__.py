@@ -14,13 +14,14 @@ from repro.compiler.codegen import (
     compile_graph,
 )
 from repro.compiler.cache import (
+    BindingTable,
     CompilationCache,
+    FactorConstants,
     cache_enabled,
     cached_compile_graph,
     clear_default_cache,
     default_cache,
     graph_structure,
-    rebind,
     set_cache_enabled,
     structural_fingerprint,
 )
@@ -73,7 +74,7 @@ from repro.compiler.isa import (
     UNIT_SPECIAL,
     UNIT_VECTOR,
 )
-from repro.compiler.library import factor_expression
+from repro.compiler.library import factor_constants, factor_expression
 from repro.compiler.lowering import Lowering, pose_error, vector_error
 from repro.compiler.provenance import (
     Provenance,
@@ -106,12 +107,13 @@ __all__ = [
     "FusedExecutor", "FusedPlan", "build_plan", "plan_for",
     "EXECUTOR_FUSED", "EXECUTOR_INTERPRETER", "EXECUTOR_NAMES",
     "default_executor_name", "executor_factory", "set_default_executor",
-    "ExpressionFactor", "factor_expression",
+    "ExpressionFactor", "factor_constants", "factor_expression",
     "compile_factor", "compile_graph", "compile_application",
     "common_subexpression_elimination", "dead_code_elimination",
     "optimize_program",
     "CompiledGraph", "RowBlock",
     "CompilationCache", "cached_compile_graph", "structural_fingerprint",
-    "graph_structure", "rebind", "default_cache", "clear_default_cache",
-    "cache_enabled", "set_cache_enabled",
+    "graph_structure", "BindingTable", "FactorConstants",
+    "default_cache", "clear_default_cache", "cache_enabled",
+    "set_cache_enabled",
 ]

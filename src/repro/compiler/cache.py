@@ -14,10 +14,16 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
   says where its numerics come from: a variable's pose/vector estimate,
   a factor's whitening matrix, a constant node of the factor's
   expression DAG, or the factor object itself for host-side EMBED.
-- On a cache hit, :func:`rebind` re-evaluates only those specs against
-  the new ``(graph, values)`` pair (optionally renaming the register
-  namespace for a different algorithm stream) — no codegen, no ordering
-  search, no QR layout computation.
+- When a template enters the cache, its specs are flattened once into a
+  :class:`BindingTable`: the positions of the value-bearing
+  instructions, split into *variable* rows (read from the ``Values``
+  every rebind) and *factor* rows (read from the factors).  On a hit a
+  rebind copies the template's instruction list and rewrites only those
+  positions — no codegen, no ordering search, no QR layout computation,
+  no walk over the value-free instructions and no expression DAG:
+  factor constants come from :func:`~repro.compiler.library.
+  factor_constants`.  Factor rows are resolved once per optimizer call
+  (see :class:`FactorConstants`), variable rows once per rebind.
 
 Soundness notes:
 
@@ -25,10 +31,11 @@ Soundness notes:
   loads by value, so an optimized program is only valid for the values
   it was optimized against; callers re-run :meth:`CompiledGraph.
   optimized` after rebinding when they want the pass pipeline.
-- Rebinding renames registers by swapping the compile-time prefix, so
-  one template serves every same-structure stream of a frame (e.g.
-  ``control#0`` .. ``control#4``); the rebound stream is
-  instruction-identical to what a cold compile would emit.
+- Rebinding into another register namespace (e.g. ``control#0`` ..
+  ``control#4``, one template per frame) goes through a renamed
+  *variant* of the template, built once with its own binding table; the
+  rebound stream is instruction-identical to what a cold compile would
+  emit.
 - When the caller passes ``ordering=None`` the fingerprint uses a
   ``default`` sentinel and a hit reuses the template's stored ordering:
   min-degree ordering depends only on sparsity structure, so it is
@@ -50,8 +57,8 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,36 +91,28 @@ BIND_NOISE = "noise"        # ("noise", fid)     -> factor.noise.sqrt_informatio
 BIND_EXPR = "expr"          # ("expr", fid, i)   -> i-th DAG node's constant
 BIND_EMBED = "embed"        # ("embed", fid)     -> the factor object itself
 
+# What CompilationCache.compile did for a structure (GraphStructure.outcome).
+OUTCOME_COMPILE = "compile"
+OUTCOME_REBIND = "rebind"
+
 
 @dataclass
 class GraphStructure:
-    """A graph's structural cache key plus lazily built per-factor DAG
-    nodes for resolving ``("expr", fid, i)`` binding specs."""
+    """A graph's structural cache key.
+
+    ``outcome`` is what the last :meth:`CompilationCache.compile` given
+    this structure did (:data:`OUTCOME_COMPILE` or
+    :data:`OUTCOME_REBIND`): the caller's own result, unaffected by
+    other threads sharing the cache.
+    """
 
     key: Tuple
-    _graph: FactorGraph
-    _factor_nodes: Dict[int, List[Expr]]
+    outcome: str = ""
 
     @property
     def fingerprint(self) -> str:
         """Stable hex digest of the structural key (for reporting)."""
         return hashlib.sha256(repr(self.key).encode("utf-8")).hexdigest()
-
-    def nodes_for(self, factor_id: int) -> List[Expr]:
-        """The factor's MO-DFG nodes in topological order (memoized)."""
-        nodes = self._factor_nodes.get(factor_id)
-        if nodes is None:
-            from repro.compiler.library import factor_expression
-            from repro.compiler.modfg import MoDFG
-
-            components = factor_expression(self._graph.factors[factor_id])
-            if components is None:
-                raise CompileError(
-                    f"factor {factor_id} has no expression DAG"
-                )
-            nodes = MoDFG(components).nodes
-            self._factor_nodes[factor_id] = nodes
-        return nodes
 
 
 def _build_rename_map(register_shapes: Dict[str, Any], old_prefix: str,
@@ -129,39 +128,6 @@ def _build_rename_map(register_shapes: Dict[str, Any], old_prefix: str,
             )
         rmap[name] = f"{new_head}{name[len(old_head):]}"
     return rmap
-
-
-@dataclass
-class CacheEntry:
-    """One cached compilation: the template plus its compile-time tags."""
-
-    compiled: "Any"             # CompiledGraph (import cycle with codegen)
-    algorithm: str
-    register_prefix: str
-    # Memoized register rename maps per target prefix: templates are
-    # rebound into the same few algorithm streams over and over (e.g.
-    # control#0 .. control#4 every frame).
-    rename_maps: Dict[str, Dict[str, str]] = None  # type: ignore[assignment]
-    # Memoized renamed templates per (algorithm, prefix): once a stream
-    # has been rebound into a new namespace, later frames rebind from
-    # the renamed variant with an identity rename, which shares every
-    # value-free instruction instead of cloning ~everything.
-    variants: Dict[Tuple[str, str], "Any"] = None  # type: ignore[assignment]
-
-    def rename_map(self, register_prefix: str) -> Optional[Dict[str, str]]:
-        """``old register -> new register`` map, or None for identity."""
-        if register_prefix == self.register_prefix:
-            return None
-        if self.rename_maps is None:
-            self.rename_maps = {}
-        rmap = self.rename_maps.get(register_prefix)
-        if rmap is None:
-            rmap = _build_rename_map(
-                self.compiled.program.register_shapes,
-                self.register_prefix, register_prefix,
-            )
-            self.rename_maps[register_prefix] = rmap
-        return rmap
 
 
 def _expr_signature(nodes: List[Expr]) -> Tuple:
@@ -233,7 +199,7 @@ def graph_structure(graph: FactorGraph, values: Values,
     from repro.compiler.library import factor_expression
 
     factor_tokens = []
-    for factor in graph.factors:
+    for factor in graph:
         type_name = type(factor).__name__
         if type_name in _STRUCTURAL_FACTOR_TYPES:
             shape_token: Tuple = ("lib",)
@@ -264,7 +230,7 @@ def graph_structure(graph: FactorGraph, values: Values,
 
     key = (tuple(factor_tokens), variable_tokens, ordering_token,
            tuple(extra))
-    return GraphStructure(key=key, _graph=graph, _factor_nodes={})
+    return GraphStructure(key=key)
 
 
 def structural_fingerprint(graph: FactorGraph, values: Values,
@@ -275,140 +241,291 @@ def structural_fingerprint(graph: FactorGraph, values: Values,
 
 
 # ----------------------------------------------------------------------
-# Rebinding: fresh numerics (and register namespace) on a template
+# Rebinding: fresh numerics on a template, through its binding table
 # ----------------------------------------------------------------------
 
-def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
-                   structure: GraphStructure) -> np.ndarray:
-    from repro.compiler.modfg import GenMatVec
-
-    kind = spec[0]
-    if kind == BIND_POSE_PHI:
-        return values.pose(spec[1]).phi
-    if kind == BIND_POSE_T:
-        return values.pose(spec[1]).t
-    if kind == BIND_VECTOR:
-        return values.vector(spec[1])
-    if kind == BIND_NOISE:
-        return graph.factors[spec[1]].noise.sqrt_information
-    if kind == BIND_EXPR:
-        node = structure.nodes_for(spec[1])[spec[2]]
-        return node.matrix if isinstance(node, GenMatVec) else node.value
-    raise CompileError(f"cannot resolve binding spec {spec!r}")
+# Variable rows: how each spec kind reads the current estimate.
+_VARIABLE_READERS: Dict[str, Callable[[Values, Key], np.ndarray]] = {
+    BIND_POSE_PHI: lambda values, key: values.pose(key).phi,
+    BIND_POSE_T: lambda values, key: values.pose(key).t,
+    BIND_VECTOR: lambda values, key: values.vector(key),
+}
 
 
-def rebind(template, graph: FactorGraph, values: Values,
-           structure: GraphStructure,
-           template_algorithm: str = "", template_prefix: str = "",
-           algorithm: Optional[str] = None,
-           register_prefix: Optional[str] = None,
-           rename_map: Optional[Dict[str, str]] = None):
-    """A template compilation re-bound to new numerics.
+def _with_meta(instr: Instruction, meta: Dict[str, Any]) -> Instruction:
+    """``instr`` carrying ``meta``; every other field is shared with the
+    template (instructions are immutable after emission)."""
+    return Instruction(instr.uid, instr.op, instr.srcs, instr.dsts, meta,
+                       instr.phase, instr.algorithm, instr.provenance)
 
-    Returns a new :class:`~repro.compiler.codegen.CompiledGraph` whose
-    instruction stream is identical to a cold compile of ``(graph,
-    values)`` with the requested ``algorithm``/``register_prefix``.
-    Value-free instructions are shared with the template (instructions
-    are immutable after emission); CONST/EMBED instructions are cloned
-    with freshly resolved numerics.  ``rename_map`` is an optional
-    precomputed register map (see :meth:`CacheEntry.rename_map`) —
-    otherwise one is derived from the prefixes when they differ.
+
+def _bind_factor(factor, rows) -> List[Tuple[int, int, Instruction,
+                                              np.ndarray]]:
+    """One factor's rows bound: ``(position, slot, instruction, value)``."""
+    from repro.compiler.library import factor_constants
+
+    constants = None
+    bound = []
+    for position, slot, instr, rank in rows:
+        if rank is None:
+            value = factor.noise.sqrt_information
+        else:
+            if constants is None:
+                constants = factor_constants(factor)
+            value = constants[rank]
+        value = np.asarray(value, dtype=float)
+        bound.append((position, slot,
+                      _with_meta(instr, {**instr.meta, "value": value}),
+                      value))
+    return bound
+
+
+class FactorConstants:
+    """Factor-side numerics bound during one optimizer call.
+
+    A solver iterating on one graph re-binds the same factors every
+    iteration; only the variable estimates change.  Passing one of these
+    to :meth:`CompilationCache.compile` for the whole call resolves each
+    factor's constants (whitening matrix, measurement, model matrices)
+    once: the same graph object reuses its bound rows outright, and a
+    new graph (a Levenberg-Marquardt trial with fresh damping priors)
+    re-resolves only the factors that are not the very objects bound
+    before.  Reuse is by factor identity, so a later call with new
+    measurements — new factor objects — can never see stale numerics;
+    factors are immutable once added to a graph.  It holds one template
+    at a time: a call that moves to another structure starts afresh.
+
+    The state is the template's instruction and CONST-value lists with
+    every factor row bound for ``graph``, plus the bound rows per factor
+    id (``bound``: ``fid -> (factor, rows)``).
     """
-    from repro.compiler.codegen import CompiledGraph, RowBlock
 
-    if algorithm is None:
-        algorithm = template_algorithm
-    if register_prefix is None:
-        register_prefix = template_prefix
-    rmap = rename_map
-    if rmap is None and register_prefix != template_prefix:
-        rmap = _build_rename_map(template.program.register_shapes,
-                                 template_prefix, register_prefix)
-    retag = algorithm != template_algorithm
+    __slots__ = ("table", "graph", "factors", "instructions", "pairs",
+                 "bound")
 
-    program = Program(algorithm=algorithm)
-    program._counter = template.program._counter
-    program._reg_counter = template.program._reg_counter
-    if rmap is None:
-        program.register_shapes = dict(template.program.register_shapes)
-    else:
-        program.register_shapes = {
-            rmap[reg]: shape
-            for reg, shape in template.program.register_shapes.items()
-        }
+    def __init__(self) -> None:
+        self.table: Optional["BindingTable"] = None
+        self.graph: Optional[FactorGraph] = None
+        self.factors: List[Any] = []
+        self.instructions: List[Instruction] = []
+        self.pairs: List[Tuple[str, np.ndarray]] = []
+        self.bound: Dict[int, Tuple[Any, List]] = {}
 
-    share = rmap is None and not retag
-    if rmap is None:
-        # The register wiring (names, positions, shapes) is identical to
-        # the template's, so the rebound program can execute the same
-        # fused plan: share the template's plan slot
-        # (see repro.compiler.fused) instead of letting the fused
-        # backend re-derive one per rebind.  Renamed variants get their
-        # own slot via the memoized variant program in CacheEntry.
-        from repro.compiler.fused import plan_slot
 
-        program._fused_plan_slot = plan_slot(template.program)
-    out = program.instructions
-    for instr in template.program.instructions:
-        spec = instr.meta.get("binding")
-        op = instr.op
-        fresh_value = (
-            (op is Opcode.CONST and spec is not None
-             and spec[0] != BIND_STATIC)
-            or op is Opcode.EMBED
-        )
-        if share and not fresh_value:
-            out.append(instr)
-            continue
+class BindingTable:
+    """The value-bearing positions of one template program.
 
-        meta = instr.meta
-        if fresh_value or (rmap is not None and op is Opcode.QR):
-            meta = dict(meta)
-        if fresh_value:
-            if op is Opcode.EMBED:
-                fid = spec[1] if spec is not None else None
-                if fid is None:
+    Built once when a template (or a renamed variant of it) enters the
+    cache.  Rows carry the template instruction to copy and the ``slot``
+    of the CONST load among the program's CONSTs — the order in which
+    the fused backend preloads them (see :meth:`repro.compiler.fused.
+    FusedPlan.preload_constants`):
+
+    - ``variables``: ``(key, reader, [(position, slot, instr), ...])``
+      per variable field (pose rotation / translation, vector);
+    - ``factors``: ``(fid, [(position, slot, instr, rank), ...])`` per
+      factor, ``rank`` indexing :func:`~repro.compiler.library.
+      factor_constants` (None for the whitening matrix);
+    - ``embeds``: ``(position, fid, instr)`` per host-side EMBED.
+
+    ``pairs`` is the template's ``(register, value)`` list over every
+    CONST, static shape constants included.
+    """
+
+    __slots__ = ("compiled", "variables", "factors", "embeds", "pairs")
+
+    def __init__(self, compiled) -> None:
+        self.compiled = compiled
+        variables: Dict[Tuple[Key, str], List] = {}
+        factors: Dict[int, List] = {}
+        self.embeds: List[Tuple[int, int, Instruction]] = []
+        self.pairs: List[Tuple[str, np.ndarray]] = []
+        for position, instr in enumerate(compiled.program.instructions):
+            spec = instr.meta.get("binding")
+            if instr.op is Opcode.EMBED:
+                if spec is None:
                     raise CompileError(
                         "EMBED instruction lacks a binding spec; template "
                         "was not compiled with binding tracking"
                     )
-                meta["factor"] = graph.factors[fid]
-                meta["values"] = values
+                self.embeds.append((position, spec[1], instr))
+                continue
+            if instr.op is not Opcode.CONST:
+                continue
+            slot = len(self.pairs)
+            self.pairs.append((instr.dsts[0], np.asarray(
+                instr.meta["value"], dtype=float)))
+            if spec is None or spec[0] == BIND_STATIC:
+                continue
+            if spec[0] in _VARIABLE_READERS:
+                variables.setdefault((spec[1], spec[0]), []).append(
+                    (position, slot, instr))
+            elif spec[0] in (BIND_NOISE, BIND_EXPR):
+                factors.setdefault(spec[1], []).append(
+                    (position, slot, instr, spec))
             else:
-                meta["value"] = np.asarray(
-                    _binding_value(spec, graph, values, structure),
-                    dtype=float,
-                )
-        if rmap is not None and op is Opcode.QR:
-            meta["sources"] = [
-                {**source, "reg": rmap[source["reg"]]}
-                for source in meta["sources"]
-            ]
+                raise CompileError(f"cannot resolve binding spec {spec!r}")
+        self.variables = [(key, _VARIABLE_READERS[kind], rows)
+                          for (key, kind), rows in variables.items()]
+        # The forward pass loads every DAG constant node (the backward
+        # pass may load one again), so a node's rank among its factor's
+        # constant nodes is its index into factor_constants().
+        self.factors = []
+        for fid, rows in factors.items():
+            nodes = sorted({spec[2] for *_, spec in rows
+                            if spec[0] == BIND_EXPR})
+            rank = {node: i for i, node in enumerate(nodes)}
+            self.factors.append((fid, [
+                (position, slot, instr,
+                 None if spec[0] == BIND_NOISE else rank[spec[2]])
+                for position, slot, instr, spec in rows
+            ]))
 
-        out.append(Instruction(
+    def check_factor_constants(self, graph: FactorGraph) -> None:
+        """Raise unless :func:`~repro.compiler.library.factor_constants`
+        reproduces the expression constants compiled into the template.
+
+        Run once per cold-compiled template, against the graph it was
+        compiled from: rebinds trust the rank order from then on.
+        """
+        from repro.compiler.library import factor_constants
+
+        factors = graph.factors
+        for fid, rows in self.factors:
+            ranked = [(rank, instr) for _, _, instr, rank in rows
+                      if rank is not None]
+            if not ranked:
+                continue
+            factor = factors[fid]
+            constants = factor_constants(factor)
+            nodes = 1 + max(rank for rank, _ in ranked)
+            if constants is None or len(constants) != nodes or \
+                    not all(np.array_equal(np.asarray(constants[rank],
+                                                      dtype=float),
+                                           instr.meta["value"],
+                                           equal_nan=True)
+                            for rank, instr in ranked):
+                raise CompileError(
+                    f"factor_constants disagrees with the compiled "
+                    f"expression of factor {fid} "
+                    f"({type(factor).__name__})"
+                )
+
+    def _bind_factors(self, graph: FactorGraph,
+                      constants: FactorConstants) -> None:
+        """Bring ``constants`` to this table's factor rows for ``graph``."""
+        if constants.table is self and constants.graph is graph:
+            return
+        reuse = constants.bound if constants.table is self else {}
+        factors = graph.factors
+        instructions = list(self.compiled.program.instructions)
+        pairs = list(self.pairs)
+        bound = {}
+        for fid, rows in self.factors:
+            factor = factors[fid]
+            entry = reuse.get(fid)
+            if entry is None or entry[0] is not factor:
+                entry = (factor, _bind_factor(factor, rows))
+            bound[fid] = entry
+            for position, slot, instr, value in entry[1]:
+                instructions[position] = instr
+                pairs[slot] = (instr.dsts[0], value)
+        constants.table = self
+        constants.graph = graph
+        constants.factors = factors
+        constants.instructions = instructions
+        constants.pairs = pairs
+        constants.bound = bound
+
+    def bind(self, graph: FactorGraph, values: Values,
+             constants: Optional[FactorConstants] = None):
+        """The template re-bound to ``(graph, values)``.
+
+        Returns a new :class:`~repro.compiler.codegen.CompiledGraph`
+        whose instruction stream is field-identical to a cold compile of
+        ``(graph, values)`` in the template's namespace.  Only the rows
+        of this table are visited; every other instruction is shared
+        with the template.  The rebound program executes the template's
+        fused plan (shared plan slot) and hands the plan its CONST
+        values directly.
+        """
+        from repro.compiler.codegen import CompiledGraph
+        from repro.compiler.fused import plan_slot
+
+        if constants is None:
+            constants = FactorConstants()
+        self._bind_factors(graph, constants)
+        instructions = list(constants.instructions)
+        pairs = list(constants.pairs)
+        for key, read, rows in self.variables:
+            value = np.asarray(read(values, key), dtype=float)
+            for position, slot, instr in rows:
+                instructions[position] = _with_meta(
+                    instr, {**instr.meta, "value": value})
+                pairs[slot] = (instr.dsts[0], value)
+        for position, fid, instr in self.embeds:
+            instructions[position] = _with_meta(instr, {
+                **instr.meta, "factor": constants.factors[fid],
+                "values": values})
+
+        template = self.compiled
+        program = Program(algorithm=template.program.algorithm)
+        program.instructions = instructions
+        program.register_shapes = dict(template.program.register_shapes)
+        program._counter = template.program._counter
+        program._reg_counter = template.program._reg_counter
+        program._fused_plan_slot = plan_slot(template.program)
+        program._fused_const_pairs = pairs
+        return CompiledGraph(
+            program=program,
+            row_blocks=list(template.row_blocks),
+            solution_registers=dict(template.solution_registers),
+            key_dims=dict(template.key_dims),
+            ordering=list(template.ordering),
+        )
+
+
+def _renamed(template, template_prefix: str, algorithm: str,
+             register_prefix: str):
+    """``template`` moved into another register namespace / algorithm tag.
+
+    A structural copy (numerics unchanged) that a variant's binding
+    table is built on; register names are remapped by swapping the
+    compile-time prefix.
+    """
+    from repro.compiler.codegen import CompiledGraph, RowBlock
+
+    rmap = _build_rename_map(template.program.register_shapes,
+                             template_prefix, register_prefix)
+    program = Program(algorithm=algorithm)
+    program._counter = template.program._counter
+    program._reg_counter = template.program._reg_counter
+    program.register_shapes = {
+        rmap[reg]: shape
+        for reg, shape in template.program.register_shapes.items()
+    }
+    for instr in template.program.instructions:
+        meta = instr.meta
+        if instr.op is Opcode.QR:
+            meta = dict(meta)
+            meta["sources"] = [{**source, "reg": rmap[source["reg"]]}
+                               for source in meta["sources"]]
+        program.instructions.append(Instruction(
             uid=instr.uid,
-            op=op,
-            srcs=[rmap[s] for s in instr.srcs] if rmap else list(instr.srcs),
-            dsts=[rmap[d] for d in instr.dsts] if rmap else list(instr.dsts),
+            op=instr.op,
+            srcs=[rmap[s] for s in instr.srcs],
+            dsts=[rmap[d] for d in instr.dsts],
             meta=meta,
             phase=instr.phase,
             algorithm=algorithm,
             provenance=instr.provenance,
         ))
-
-    if rmap is None:
-        row_blocks = list(template.row_blocks)
-        solution = dict(template.solution_registers)
-    else:
-        row_blocks = [RowBlock(rmap[b.reg], b.rows, dict(b.cols))
-                      for b in template.row_blocks]
-        solution = {k: rmap[reg]
-                    for k, reg in template.solution_registers.items()}
-
     return CompiledGraph(
         program=program,
-        row_blocks=row_blocks,
-        solution_registers=solution,
+        row_blocks=[RowBlock(rmap[b.reg], b.rows, dict(b.cols))
+                    for b in template.row_blocks],
+        solution_registers={k: rmap[reg] for k, reg
+                            in template.solution_registers.items()},
         key_dims=dict(template.key_dims),
         ordering=list(template.ordering),
     )
@@ -418,13 +535,30 @@ def rebind(template, graph: FactorGraph, values: Values,
 # The cache
 # ----------------------------------------------------------------------
 
+@dataclass
+class CacheEntry:
+    """One cached compilation: the template, its compile-time tags and
+    the binding tables it is rebound through."""
+
+    compiled: "Any"             # CompiledGraph (import cycle with codegen)
+    algorithm: str
+    register_prefix: str
+    table: BindingTable
+    # Binding tables of renamed variants per (algorithm, prefix):
+    # templates are rebound into the same few algorithm streams over and
+    # over (e.g. control#0 .. control#4 every frame), so each renamed
+    # template is built once.
+    variants: Dict[Tuple[str, str], BindingTable] = field(
+        default_factory=dict)
+
+
 class CompilationCache:
     """LRU cache of compiled templates keyed by structural key.
 
     One lock covers every piece of shared state — the entries (lookup,
-    insert, evict), the per-entry rename/variant memos, the admission
-    record and the hit/miss counters — so one cache can serve solves on
-    several threads.  Cold compiles and rebinds run outside the lock.
+    insert, evict), the per-entry variant tables, the admission record
+    and the hit/miss counters — so one cache can serve solves on several
+    threads.  Cold compiles and rebinds run outside the lock.
     """
 
     def __init__(self, max_entries: int = 64):
@@ -502,11 +636,15 @@ class CompilationCache:
                 ordering: Optional[Sequence[Key]] = None, *,
                 algorithm: str = "", register_prefix: str = "",
                 extra: Tuple = (),
-                structure: Optional[GraphStructure] = None):
+                structure: Optional[GraphStructure] = None,
+                constants: Optional[FactorConstants] = None):
         """Compile with caching: cold compile on miss, rebind on hit.
 
         ``structure`` is the :func:`graph_structure` of the same
-        arguments when the caller has already computed it.
+        arguments when the caller has already computed it; its
+        ``outcome`` records what this call did.  ``constants`` carries
+        factor-side numerics across the rebinds of one optimizer call
+        (see :class:`FactorConstants`).
         """
         if structure is None:
             structure = graph_structure(graph, values, ordering, extra)
@@ -521,46 +659,46 @@ class CompilationCache:
             compiled = compile_graph(graph, values, ordering,
                                      algorithm=algorithm,
                                      register_prefix=register_prefix)
+            table = BindingTable(compiled)
+            table.check_factor_constants(graph)
             with self._lock:
                 self._entries[structure.key] = CacheEntry(
-                    compiled, algorithm, register_prefix
+                    compiled, algorithm, register_prefix, table,
                 )
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                 self.misses += 1
             counters.incr("compiler.cache.miss")
+            structure.outcome = OUTCOME_COMPILE
             return compiled
 
         counters.incr("compiler.cache.hit")
         started = time.perf_counter_ns()
         with trace.span("compiler.cache.rebind", category="compiler.pass",
                         algorithm=algorithm or ""):
-            if (algorithm == entry.algorithm
-                    and register_prefix == entry.register_prefix):
-                rebound = rebind(entry.compiled, graph, values, structure,
-                                 entry.algorithm, entry.register_prefix)
-            else:
-                variant_key = (algorithm, register_prefix)
-                with self._lock:
-                    if entry.variants is None:
-                        entry.variants = {}
-                    variant = entry.variants.get(variant_key)
-                    rename_map = None if variant is not None \
-                        else entry.rename_map(register_prefix)
-                if variant is None:
-                    rebound = rebind(
-                        entry.compiled, graph, values, structure,
-                        entry.algorithm, entry.register_prefix,
-                        algorithm, register_prefix, rename_map=rename_map,
-                    )
-                    with self._lock:
-                        entry.variants.setdefault(variant_key, rebound)
-                else:
-                    rebound = rebind(variant, graph, values, structure,
-                                     algorithm, register_prefix)
+            table = self._table(entry, algorithm, register_prefix)
+            rebound = table.bind(graph, values, constants)
         counters.incr("compiler.cache.rebind_ns",
                       time.perf_counter_ns() - started)
+        structure.outcome = OUTCOME_REBIND
         return rebound
+
+    def _table(self, entry: CacheEntry, algorithm: str,
+               register_prefix: str) -> BindingTable:
+        """The binding table serving ``(algorithm, register_prefix)``."""
+        if (algorithm == entry.algorithm
+                and register_prefix == entry.register_prefix):
+            return entry.table
+        variant_key = (algorithm, register_prefix)
+        with self._lock:
+            table = entry.variants.get(variant_key)
+        if table is None:
+            table = BindingTable(_renamed(
+                entry.compiled, entry.register_prefix, algorithm,
+                register_prefix))
+            with self._lock:
+                table = entry.variants.setdefault(variant_key, table)
+        return table
 
 
 # ----------------------------------------------------------------------

@@ -30,9 +30,11 @@ that in:
   and :meth:`FusedPlan.execute` preloads all of them in one
   ``dict.update`` before any level runs.  A compilation-cache
   **rebind** rewrites only those numeric slabs (and the EMBED factor
-  references); the plan itself is structure-keyed and is **never
-  rebuilt** — see :func:`~repro.compiler.cache.rebind`, which threads
-  the plan slot from the cached template onto every rebound program.
+  references) and hands the plan its bound ``(register, value)`` list
+  directly; the plan itself is structure-keyed and is **never
+  rebuilt** — see :meth:`~repro.compiler.cache.BindingTable.bind`,
+  which threads the plan slot from the cached template onto every
+  rebound program.
 - Bit-identity with the interpreter is engineered, not hoped for: the
   batched elementwise kernels perform the same per-element IEEE
   operations in the same order; stacked ``np.matmul`` runs the same
@@ -692,10 +694,12 @@ class FusedPlan:
 
         The (dst, value) pairs — and the stacked operand blocks for
         gathers whose members are all constants (``const_ports``) — are
-        memoized on the program object: a rebind produces a fresh
-        ``Program`` (invalidating the memo), while repeat executions of
-        the same program (solver iterations on one binding, bench
-        repeats) reuse them at zero marginal cost.
+        memoized on the program object, so repeat executions of the
+        same program (bench repeats) reuse them at zero marginal cost.
+        A compilation-cache rebind produces a fresh ``Program`` with
+        its pairs already in place (one per CONST, in program order:
+        the plan's ``const_sites``), so they are never re-read from
+        the instructions.
         """
         registers = executor.registers
         pairs = getattr(program, "_fused_const_pairs", None)
@@ -896,9 +900,10 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
 def plan_slot(program: Program) -> Dict[str, Any]:
     """The program's shared plan slot (created on demand).
 
-    :func:`repro.compiler.cache.rebind` propagates the template's slot
-    onto every rebound program whose wiring is identical (same register
-    namespace), so the first fused execution of any rebind populates
+    :meth:`repro.compiler.cache.BindingTable.bind` propagates the
+    template's slot onto every program rebound from it (identical
+    wiring, same register namespace), so the first fused execution of
+    any rebind populates
     the plan for all of them — a rebind rewrites numeric slabs and
     never re-plans.
     """

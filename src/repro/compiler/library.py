@@ -64,6 +64,49 @@ def factor_expression(factor: Factor) -> Optional[List[Expr]]:
     return None
 
 
+def factor_constants(factor: Factor) -> Optional[List[np.ndarray]]:
+    """The constants of ``factor_expression(factor)``, without the DAG.
+
+    One entry per constant node (``RotConst``/``VecConst`` value,
+    ``GenMatVec`` matrix), in :class:`~repro.compiler.modfg.MoDFG`
+    topological order: exactly what a compilation-cache rebind loads
+    from a factor.  :class:`~repro.compiler.cache.BindingTable` checks
+    this against the constants of every cold-compiled template, so the
+    two functions cannot drift apart unnoticed.  None for factors that
+    compile to a host-side EMBED.
+    """
+    if isinstance(factor, BetweenFactor):
+        measured = factor.measured
+        return [measured.rotation, measured.t]
+    if isinstance(factor, PriorFactor):
+        prior = factor.prior
+        if isinstance(prior, Pose):
+            return [prior.rotation, prior.t]
+        return [prior]
+    if isinstance(factor, GPSFactor):
+        return [factor.measured]
+    if isinstance(factor, DynamicsFactor):
+        return [factor.a, factor.b]
+    if isinstance(factor, StateCostFactor):
+        return [factor.reference]
+    if isinstance(factor, ControlCostFactor):
+        return []
+    if isinstance(factor, SmoothnessFactor):
+        sq, sv = _selectors(factor.dof)
+        return [sq, sq + factor.dt * sv, sv, sv]
+    if isinstance(factor, GoalFactor):
+        sq, _ = _selectors(factor.dof)
+        return [sq, factor.goal]
+    return None
+
+
+def _selectors(dof: int):
+    """``(Sq, Sv)``: pick positions / velocities out of ``[q | v]``."""
+    sq = np.hstack([np.eye(dof), np.zeros((dof, dof))])
+    sv = np.hstack([np.zeros((dof, dof)), np.eye(dof)])
+    return sq, sv
+
+
 def _between(factor: BetweenFactor) -> List[Expr]:
     """Equ. 3: f(x_i, x_j) = (x_i (-) x_j) (-) z_ij, lowered to Equ. 4."""
     n = factor.measured.n
@@ -118,8 +161,7 @@ def _control_cost(factor: ControlCostFactor) -> List[Expr]:
 def _smoothness(factor: SmoothnessFactor) -> List[Expr]:
     key_i, key_j = factor.keys
     d = factor.dof
-    sq = np.hstack([np.eye(d), np.zeros((d, d))])
-    sv = np.hstack([np.zeros((d, d)), np.eye(d)])
+    sq, sv = _selectors(d)
     xi = VecVar(key_i, 2 * d)
     xj = VecVar(key_j, 2 * d)
     # e_q = q_j - q_i - dt * v_i  ==  Sq x_j - (Sq + dt Sv) x_i
@@ -135,6 +177,6 @@ def _smoothness(factor: SmoothnessFactor) -> List[Expr]:
 def _goal(factor: GoalFactor) -> List[Expr]:
     key = factor.keys[0]
     d = factor.dof
-    sq = np.hstack([np.eye(d), np.zeros((d, d))])
+    sq, _ = _selectors(d)
     return [VecAdd(GenMatVec(f"Sq[{key}]", sq, VecVar(key, 2 * d)),
                    VecConst(f"goal[{key}]", factor.goal), sign=-1)]

@@ -33,6 +33,9 @@ class FactorGraph:
 
     def __init__(self, factors: Sequence[Factor] = ()):
         self._factors: List[Factor] = []
+        # The variable keys in first-seen order, built on first use and
+        # dropped by add(): error() and linearize() check them each call.
+        self._keys: Optional[List[Key]] = None
         for f in factors:
             self.add(f)
 
@@ -41,6 +44,7 @@ class FactorGraph:
         if not isinstance(factor, Factor):
             raise GraphError(f"expected a Factor, got {type(factor).__name__}")
         self._factors.append(factor)
+        self._keys = None
 
     def extend(self, factors: Sequence[Factor]) -> None:
         for f in factors:
@@ -56,23 +60,29 @@ class FactorGraph:
     def __iter__(self):
         return iter(self._factors)
 
+    def _key_list(self) -> List[Key]:
+        keys = self._keys
+        if keys is None:
+            seen: Dict[Key, None] = {}
+            for f in self._factors:
+                for k in f._keys:
+                    seen.setdefault(k, None)
+            keys = self._keys = list(seen)
+        return keys
+
     def keys(self) -> List[Key]:
-        seen: Dict[Key, None] = {}
-        for f in self._factors:
-            for k in f.keys:
-                seen.setdefault(k, None)
-        return list(seen)
+        return list(self._key_list())
 
     def variable_count(self) -> int:
-        return len(self.keys())
+        return len(self._key_list())
 
     def factors_of(self, key: Key) -> List[Factor]:
         """All factor nodes adjacent to a variable node."""
-        return [f for f in self._factors if key in f.keys]
+        return [f for f in self._factors if key in f._keys]
 
     def check_values(self, values: Values) -> None:
         """Verify an assignment covers every variable in the graph."""
-        missing: Set[Key] = {k for k in self.keys() if k not in values}
+        missing: Set[Key] = {k for k in self._key_list() if k not in values}
         if missing:
             raise GraphError(
                 f"values missing keys: {sorted(map(str, missing))}"

@@ -57,7 +57,7 @@ class CompiledSolver:
     def __init__(self, cache=None, executor_factory=None,
                  executor: Optional[str] = None):
         from repro.compiler.cache import (
-            CompilationCache, cache_enabled, default_cache)
+            CompilationCache, FactorConstants, cache_enabled, default_cache)
         from repro.compiler.fused import _validate_name
 
         # An injected cache serves every solve.  Otherwise solves share
@@ -74,6 +74,11 @@ class CompiledSolver:
         # Structure fingerprints whose fused→interpreter fallback has
         # already been logged (the event fires once per structure).
         self._fallback_logged = set()
+        # One optimizer call's worth of reuse: the structure of the
+        # graph last solved, and the factor constants bound into its
+        # template (see repro.compiler.cache.FactorConstants).
+        self._structure = None
+        self._constants = FactorConstants()
 
     def _wants_fused(self) -> bool:
         from repro.compiler import fused
@@ -127,6 +132,24 @@ class CompiledSolver:
             return "custom"
         return self.executor or fused.default_executor_name()
 
+    def _structure_of(self, graph: FactorGraph, values: Values,
+                      ordering: Optional[Sequence[Key]]):
+        """The graph's structure, computed once per graph object.
+
+        Gauss-Newton solves one graph every iteration, and retracting
+        the estimate never changes its structure; graphs only grow, so
+        a changed factor count means a new structure.
+        """
+        from repro.compiler.cache import graph_structure
+
+        last = self._structure
+        if last is not None and last[0] is graph \
+                and last[1] == len(graph) and last[2] is ordering:
+            return last[3]
+        structure = graph_structure(graph, values, ordering)
+        self._structure = (graph, len(graph), ordering, structure)
+        return structure
+
     def solve(self, graph: FactorGraph, values: Values,
               ordering: Optional[Sequence[Key]] = None
               ) -> Dict[Key, np.ndarray]:
@@ -138,12 +161,7 @@ class CompiledSolver:
             import time
 
             started = time.perf_counter()
-        structure = None
-        if self._admitting or (self.executor_factory is not None
-                               and self._wants_fused()):
-            from repro.compiler.cache import graph_structure
-
-            structure = graph_structure(graph, values, ordering)
+        structure = self._structure_of(graph, values, ordering)
         with trace.span("solve.compile", category="host.phase") as sp:
             if self._admitting and not self.cache.admits(structure.key):
                 # Deferred: this call, and the rest of it, compiles
@@ -152,11 +170,10 @@ class CompiledSolver:
 
                 self.cache = CompilationCache()
                 self._admitting = False
-            hits_before = self.cache.hits
             compiled = self.cache.compile(graph, values, ordering,
-                                          structure=structure)
-            sp.set(kind="rebind" if self.cache.hits > hits_before
-                   else "compile")
+                                          structure=structure,
+                                          constants=self._constants)
+            sp.set(kind=structure.outcome)
         factory = self._resolve_factory(structure)
         with trace.span("solve.execute", category="host.phase",
                         instructions=len(compiled.program)):

@@ -590,13 +590,15 @@ class SupervisedSolver:
     def _compile_checked(self, graph, values, ordering, structure,
                          guard, report):
         """Compile or rebind under the compile deadline + integrity check."""
+        from repro.compiler.cache import OUTCOME_REBIND
+
         guard.start_phase("compile")
         try:
             with trace.span("solve.compile", category="host.phase") as sp:
-                hits_before = self.cache.hits
-                compiled = self.cache.compile(graph, values, ordering)
-                rebound = self.cache.hits > hits_before
-                sp.set(kind="rebind" if rebound else "compile")
+                compiled = self.cache.compile(graph, values, ordering,
+                                              structure=structure)
+                rebound = structure.outcome == OUTCOME_REBIND
+                sp.set(kind=structure.outcome)
             guard.check(partial={"stage": "compiled"})
             if rebound:
                 complaints = verify_template_integrity(compiled)
@@ -607,8 +609,8 @@ class SupervisedSolver:
                     self.cache.evict(structure.key)
                     with trace.span("solve.compile", category="host.phase",
                                     kind="recompile"):
-                        compiled = self.cache.compile(graph, values,
-                                                      ordering)
+                        compiled = self.cache.compile(
+                            graph, values, ordering, structure=structure)
                     guard.check(partial={"stage": "recompiled"})
                     remaining = verify_template_integrity(compiled)
                     if remaining:

@@ -14,12 +14,14 @@ import pytest
 
 import repro.obs as obs
 from repro.compiler import (
+    BindingTable,
     CompilationCache,
     cache_enabled,
     cached_compile_graph,
     clear_default_cache,
     compile_graph,
     default_cache,
+    factor_constants,
     graph_structure,
     set_cache_enabled,
     structural_fingerprint,
@@ -285,20 +287,22 @@ class TestStructure:
         assert len(fp) == 64
         int(fp, 16)
 
-    def test_nodes_for_rejects_embedded_factors(self):
+    def test_factor_constants_reject_embedded_factors(self):
         from repro.errors import CompileError
         from repro.factors import CameraFactor, PinholeCamera
 
         graph, values = chain(0)
-        g2 = FactorGraph()
-        for f in graph.factors:
-            g2.add(f)
-        cam = PinholeCamera()
+        table = BindingTable(compile_graph(graph, values))
+        table.check_factor_constants(graph)
+        # Factor 0 (a pose prior) owns expression constants; a factor
+        # that compiles to EMBED in its place has none to bind.
         values.insert(Y(0), np.array([0.2, -0.3, 6.0]))
-        g2.add(CameraFactor(X(0), Y(0), np.array([1.0, 1.0]), cam))
-        structure = graph_structure(g2, values)
+        camera = CameraFactor(X(0), Y(0), np.array([1.0, 1.0]),
+                              PinholeCamera())
+        assert factor_constants(camera) is None
+        swapped = FactorGraph([camera] + graph.factors[1:])
         with pytest.raises(CompileError):
-            structure.nodes_for(len(g2.factors) - 1)
+            table.check_factor_constants(swapped)
 
     def test_embedded_factor_graphs_cache_and_rebind(self):
         from repro.factors import CameraFactor, PinholeCamera
@@ -332,3 +336,90 @@ class TestStructure:
         want = cold.extract_solution(Executor().run(cold.program))
         for key in want:
             assert np.allclose(got[key], want[key], atol=1e-10)
+
+
+def _library_factors():
+    """One factor of every library type, planar and spatial poses."""
+    from repro.factorgraph import U
+    from repro.factors import (
+        ControlCostFactor, DynamicsFactor, GoalFactor, IMUFactor,
+        LiDARFactor, SmoothnessFactor, StateCostFactor)
+
+    rng = np.random.default_rng(3)
+    out = []
+    for space in (2, 3):
+        z = Pose.random(space, rng)
+        out += [BetweenFactor(X(1), X(0), z), LiDARFactor(X(1), X(0), z),
+                IMUFactor(X(1), X(0), z), PriorFactor(X(0), z),
+                GPSFactor(X(0), z.t)]
+    out += [
+        PriorFactor(Y(0), rng.standard_normal(3)),
+        DynamicsFactor(X(0), U(0), X(1), rng.standard_normal((2, 2)),
+                       rng.standard_normal((2, 1))),
+        StateCostFactor(X(0), rng.standard_normal(2)),
+        ControlCostFactor(U(0), 2),
+        SmoothnessFactor(X(0), X(1), dof=2, dt=0.3),
+        GoalFactor(X(0), rng.standard_normal(2), dof=2),
+    ]
+    return out
+
+
+class TestBindingTable:
+    @pytest.mark.parametrize("factor", _library_factors(),
+                             ids=lambda f: type(f).__name__)
+    def test_factor_constants_follow_dag_order(self, factor):
+        from repro.compiler.exprs import RotConst, VecConst
+        from repro.compiler.library import factor_expression
+        from repro.compiler.modfg import GenMatVec, MoDFG
+
+        nodes = MoDFG(factor_expression(factor)).nodes
+        want = [n.matrix if isinstance(n, GenMatVec) else n.value
+                for n in nodes
+                if isinstance(n, (RotConst, VecConst, GenMatVec))]
+        got = factor_constants(factor)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(np.asarray(a, dtype=float), b)
+
+    def test_rows_cover_exactly_the_value_bearing_instructions(self):
+        graph, values = chain(0, with_gps=True)
+        compiled = compile_graph(graph, values)
+        table = BindingTable(compiled)
+        rows = {position for _, _, group in table.variables
+                for position, _, _ in group}
+        rows |= {row[0] for _, group in table.factors for row in group}
+        want = {
+            position
+            for position, instr in enumerate(compiled.program.instructions)
+            if instr.op is Opcode.CONST
+            and instr.meta["binding"][0] != "static"
+        }
+        assert rows == want
+        assert len(table.pairs) == sum(
+            i.op is Opcode.CONST for i in compiled.program.instructions)
+
+    def test_rebind_hands_the_fused_plan_its_constants(self):
+        """The (register, value) list a rebind hands the fused preload
+        is what the rebound instructions themselves carry."""
+        cache = CompilationCache()
+        cache.compile(*chain(0, with_gps=True))
+        rebound = cache.compile(*chain(4, with_gps=True))
+        pairs = rebound.program._fused_const_pairs
+        consts = [i for i in rebound.program.instructions
+                  if i.op is Opcode.CONST]
+        assert len(pairs) == len(consts)
+        for (dst, value), instr in zip(pairs, consts):
+            assert dst == instr.dsts[0]
+            assert value is instr.meta["value"] or \
+                np.array_equal(value, instr.meta["value"])
+
+    def test_untracked_embed_is_rejected(self):
+        from repro.compiler.codegen import CompiledGraph
+        from repro.compiler.isa import Program
+        from repro.errors import CompileError
+
+        program = Program()
+        reg = program.new_register("e", (1,))
+        program.emit(Opcode.EMBED, [], [reg], {"kind": "x"})
+        with pytest.raises(CompileError):
+            BindingTable(CompiledGraph(program=program, row_blocks=[]))

@@ -4,7 +4,8 @@ For randomized factor graphs, priming the cache with one graph and then
 compiling a second graph with the same structure (different numerics)
 must produce an instruction stream identical — field by field — to a
 cold compile of the second graph, across register-namespace renames and
-algorithm retags.  The rebound stream must also execute to the same
+algorithm retags, including rebinds through binding tables built on
+renamed variants of the template.  The rebound stream must also execute to the same
 solution as the reference solver.
 
 Tier-1 runs a small seed subset; the ``slow`` marker covers 60 seeds
@@ -45,8 +46,20 @@ def check_seed(structure_seed):
         assert rebound.solution_registers == cold.solution_registers
         assert rebound.ordering == cold.ordering
 
+    # A third value set through every binding table: the template's own
+    # and the ones built on renamed variants must all bind graph_c's
+    # numerics, with nothing left over from graph_a or graph_b.
+    graph_c, values_c = random_problem(structure_seed, structure_seed + 3000)
+    for algorithm, prefix in dict.fromkeys(targets):
+        rebound_c = cache.compile(graph_c, values_c, algorithm=algorithm,
+                                  register_prefix=prefix)
+        cold_c = compile_graph(graph_c, values_c, algorithm=algorithm,
+                               register_prefix=prefix)
+        assert_streams_equal(rebound_c.program, cold_c.program)
+        assert rebound_c.solution_registers == cold_c.solution_registers
+
     assert cache.stats()["misses"] == 1
-    assert cache.stats()["hits"] == len(targets)
+    assert cache.stats()["hits"] == len(targets) + len(set(targets))
 
     # The last rebound stream still solves the right system.
     registers = Executor().run(rebound.program)

@@ -126,6 +126,21 @@ class TestFactorGraph:
         with pytest.raises(GraphError):
             g.error(Values({X(0): np.zeros(1)}))
 
+    def test_add_after_keys_is_seen(self):
+        g = FactorGraph([vector_prior(X(0), [0.0])])
+        v = Values({X(0): np.zeros(1)})
+        assert g.keys() == [X(0)]
+        g.error(v)
+        g.keys().append(X(7))  # callers get a copy of the key list
+        assert g.keys() == [X(0)]
+        g.add(difference_factor(X(0), X(1), [1.0]))
+        assert g.keys() == [X(0), X(1)]
+        assert g.variable_count() == 2
+        with pytest.raises(GraphError):
+            g.error(v)
+        with pytest.raises(GraphError):
+            g.linearize(v)
+
     def test_total_error(self):
         g = FactorGraph([
             vector_prior(X(0), [0.0]),
