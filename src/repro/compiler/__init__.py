@@ -25,7 +25,7 @@ from repro.compiler.cache import (
     set_cache_enabled,
     structural_fingerprint,
 )
-from repro.compiler.executor import Executor
+from repro.compiler.executor import Executor, Hook
 from repro.compiler.fused import (
     EXECUTOR_FUSED,
     EXECUTOR_INTERPRETER,
@@ -103,7 +103,7 @@ __all__ = [
     "GenMatVec", "topological_order",
     "Lowering", "pose_error", "vector_error",
     "MoDFG", "ModfgEmitter",
-    "Executor",
+    "Executor", "Hook",
     "FusedExecutor", "FusedPlan", "build_plan", "plan_for",
     "EXECUTOR_FUSED", "EXECUTOR_INTERPRETER", "EXECUTOR_NAMES",
     "default_executor_name", "executor_factory", "set_default_executor",

@@ -10,8 +10,7 @@ match the factors' analytic ones.
 
 from __future__ import annotations
 
-import time
-from typing import Dict
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,69 +22,85 @@ from repro.obs import vtrace, wallclock
 from repro.obs.core import is_enabled as _obs_enabled
 
 
-class Executor:
-    """Executes a :class:`Program`, holding the register file."""
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over C-ordered operands.
 
-    def __init__(self):
+    BLAS picks its reduction order from the operand layout (a gemv over
+    an F-ordered matrix reduces differently from one over a C-ordered
+    copy), and RT writes F-ordered ``a.T`` views.  Both backends'
+    products go through this canonical layout, so a fused batch
+    kernel, which restacks its operands, reduces every slice exactly
+    as the interpreter does.
+    """
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
+
+
+# A run hook: ``hook(executor, program, indices)``, called after every
+# dispatch with the positions in ``program.instructions`` it just
+# executed -- one index per interpreter instruction; on the fused backend
+# the CONST preload's sites, then each plan step's members.  Hooks run in
+# chain order and may read registers, sleep, or raise (the run aborts).
+# A register *write* is faithful only on the interpreter: fused
+# consumers gather operands from step slabs, not from the register file.
+Hook = Callable[["Executor", Program, Sequence[int]], None]
+
+
+class Executor:
+    """Executes a :class:`Program`, holding the register file.
+
+    ``hooks`` is the run's after-dispatch chain (see :data:`Hook`).  The
+    active :mod:`repro.obs.wallclock` profiler and :mod:`repro.obs.vtrace`
+    recorder join it per run: a profiler stop hook at the head and its
+    start hook at the tail (so other hooks' time is never attributed to
+    a dispatch), the recorder after the caller's hooks.
+    """
+
+    # The fused backend dispatches in level order, so the value tracer
+    # replays program order after its run instead of recording per
+    # dispatch.
+    traces_per_dispatch = True
+
+    def __init__(self, hooks: Sequence[Hook] = ()):
         self.registers: Dict[str, np.ndarray] = {}
+        self.hooks: Tuple[Hook, ...] = tuple(hooks)
 
     def run(self, program: Program) -> Dict[str, np.ndarray]:
-        # Two module-global reads per program, not per instruction: the
-        # interpreter loop itself stays untouched while host wall-clock
-        # profiling (repro.obs.wallclock) and value tracing
-        # (repro.obs.vtrace) are off.
+        # Two module-global reads per program, not per instruction: with
+        # no caller hooks and neither instrument active, the dispatch
+        # loop runs with an empty chain.
         profiler = wallclock.active()
         tracer = vtrace.active()
+        hooks = self.hooks
         if tracer is not None:
-            return self._run_traced(program, tracer, profiler)
-        if profiler is not None:
-            return self._run_profiled(program, profiler)
-        for instr in program.instructions:
-            self.execute(instr)
-        return self.registers
-
-    def _run_profiled(self, program: Program,
-                      profiler) -> Dict[str, np.ndarray]:
-        """The instrumented twin of :meth:`run`: per-opcode self time."""
-        registers = self.registers
-        record = profiler.record_instruction
-        clock = time.perf_counter_ns
-        for instr in program.instructions:
-            started = clock()
-            self.execute(instr)
-            record(instr, clock() - started, registers)
-        profiler.record_program()
-        return self.registers
-
-    def _run_traced(self, program: Program, tracer,
-                    profiler) -> Dict[str, np.ndarray]:
-        """The value-traced twin of :meth:`run`: per-instruction digests.
-
-        Composes with the wallclock profiler when both are active.  The
-        ``end`` record (and with it the full-value ring buffer) is
-        flushed even when an instruction raises, so a crashing run
-        still leaves a usable forensics trail.
-        """
-        registers = self.registers
-        trace_instr = tracer.record_instruction
-        tracer.begin_program(program)
+            if self.traces_per_dispatch:
+                hooks += (tracer.record,)
+            tracer.begin_program(program)
         try:
-            if profiler is None:
-                for instr in program.instructions:
-                    self.execute(instr)
-                    trace_instr(instr, registers)
-            else:
-                record = profiler.record_instruction
-                clock = time.perf_counter_ns
-                for instr in program.instructions:
-                    started = clock()
-                    self.execute(instr)
-                    record(instr, clock() - started, registers)
-                    trace_instr(instr, registers)
+            if profiler is not None:
+                stop, start = profiler.dispatch_hooks()
+                hooks = (stop,) + hooks + (start,)
+                start(self, program, ())
+            self.dispatch(program, hooks)
+            if profiler is not None:
                 profiler.record_program()
+            if tracer is not None and not self.traces_per_dispatch:
+                tracer.record(self, program,
+                              range(len(program.instructions)))
         finally:
-            tracer.end_program()
+            # A crashing run still writes the trace footer (and its
+            # full-value ring) for forensics.
+            if tracer is not None:
+                tracer.end_program()
         return self.registers
+
+    def dispatch(self, program: Program, hooks: Sequence[Hook]) -> None:
+        """The interpreter's run loop: one instruction per dispatch."""
+        execute = self.execute
+        for index, instr in enumerate(program.instructions):
+            execute(instr)
+            if hooks:
+                for hook in hooks:
+                    hook(self, program, (index,))
 
     def read(self, name: str) -> np.ndarray:
         try:
@@ -135,15 +150,15 @@ class Executor:
 
     def _op_rr(self, instr):
         a, b = self._srcs(instr)
-        self._write(instr, a @ b)
+        self._write(instr, matmul(a, b))
 
     def _op_rv(self, instr):
         r, v = self._srcs(instr)
-        self._write(instr, r @ v)
+        self._write(instr, matmul(r, v))
 
     def _op_mv(self, instr):
         m, v = self._srcs(instr)
-        out = m @ v
+        out = matmul(m, v)
         if instr.meta.get("negate"):
             out = -out
         self._write(instr, out)
@@ -152,7 +167,7 @@ class Executor:
         a, b = self._srcs(instr)
         if instr.meta.get("b_as_column") and b.ndim == 1:
             b = b.reshape(-1, 1)
-        out = a @ b
+        out = matmul(a, b)
         if instr.meta.get("negate"):
             out = -out
         self._write(instr, out)

@@ -38,7 +38,8 @@ that in:
 - Bit-identity with the interpreter is engineered, not hoped for: the
   batched elementwise kernels perform the same per-element IEEE
   operations in the same order; stacked ``np.matmul`` runs the same
-  GEMM per slice; stacked ``np.linalg.qr(mode="r")`` produces the same
+  GEMM per slice (both backends multiply C-ordered operands, see
+  :func:`~repro.compiler.executor.matmul`); stacked ``np.linalg.qr(mode="r")`` produces the same
   R factor per front as the interpreter's per-front reduced QR; and
   the back-substitution step replicates :func:`scipy.linalg.
   solve_triangular`'s exact LAPACK dispatch (``trtrs`` on the
@@ -49,11 +50,14 @@ that in:
   reorder reductions.
 
 :class:`FusedExecutor` is a drop-in :class:`Executor`: ``run(program)``
-returns the same register file, honors the value tracer
-(:mod:`repro.obs.vtrace`) by replaying per-instruction digests in
-program order after the fused run (byte-identical traces), and records
-per-*group* wall-clock events when the :mod:`repro.obs.wallclock`
-profiler is active.
+returns the same register file and takes the same after-dispatch hook
+chain (:data:`~repro.compiler.executor.Hook`).  Its one run loop,
+:meth:`FusedPlan.execute`, calls the chain after the CONST preload and
+after every step, so the wall-clock profiler records one event per
+fused dispatch and the deadline guard and chaos injectors of
+:mod:`repro.resilience.supervisor` see whole groups.  The value tracer
+(:mod:`repro.obs.vtrace`) replays per-instruction digests in program
+order after the run instead (byte-identical traces).
 
 Backend selection: ``backend="fused"`` on the optimizer loops, the
 ``REPRO_EXECUTOR`` environment variable (``interpreter``/``fused``), or
@@ -64,15 +68,15 @@ from __future__ import annotations
 
 import os
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from repro.errors import ExecutionError
-from repro.compiler.executor import Executor
+from repro.compiler.executor import Executor, Hook, matmul
 from repro.compiler.isa import Instruction, Opcode, Program
-from repro.obs import counters, vtrace, wallclock
+from repro.obs import counters
 from repro.obs.core import is_enabled as _obs_enabled
 
 try:  # direct gufunc access: same kernel np.linalg.qr(mode="r") calls,
@@ -241,7 +245,7 @@ class _BatchStep:
     __slots__ = ("op", "level", "indices", "gathers", "dsts", "kernel",
                  "port")
 
-    def __init__(self, op: Opcode, level: int, indices: List[int],
+    def __init__(self, op: Opcode, level: int, indices: Tuple[int, ...],
                  gathers: List[Any], dsts: List[str], kernel: Callable,
                  port: int):
         self.op = op
@@ -283,7 +287,7 @@ class _QRStep:
                  "cond_dsts", "marg_dsts", "port", "marg_port",
                  "mn", "lower_mask")
 
-    def __init__(self, level: int, indices: List[int],
+    def __init__(self, level: int, indices: Tuple[int, ...],
                  members: List[Instruction], gathers: List[Any],
                  port: int, marg_port: int):
         first = members[0]
@@ -384,7 +388,7 @@ class _FallbackStep:
 
     __slots__ = ("op", "level", "indices", "handler_name")
 
-    def __init__(self, op: Opcode, level: int, indices: List[int]):
+    def __init__(self, op: Opcode, level: int, indices: Tuple[int, ...]):
         self.op = op
         self.level = level
         self.indices = indices
@@ -458,7 +462,7 @@ def _kernel_matmat(negate: bool, b_as_column: bool):
         b = gathers[1](registers, slabs)
         if b_as_column:
             b = b[..., None]
-        out = a @ b
+        out = matmul(a, b)
         return -out if negate else out
     return kernel
 
@@ -467,7 +471,7 @@ def _kernel_matvec(negate: bool):
     def kernel(registers, gathers, slabs):
         a = gathers[0](registers, slabs)
         v = gathers[1](registers, slabs)
-        out = (a @ v[..., None])[..., 0]
+        out = matmul(a, v[..., None])[..., 0]
         return -out if negate else out
     return kernel
 
@@ -638,8 +642,8 @@ class FusedPlan:
     program itself.
     """
 
-    __slots__ = ("instructions", "const_sites", "const_ports", "steps",
-                 "ports", "label")
+    __slots__ = ("instructions", "const_sites", "const_indices",
+                 "const_ports", "steps", "ports", "label")
 
     def __init__(self, instructions: int,
                  const_sites: List[Tuple[int, str]],
@@ -647,6 +651,7 @@ class FusedPlan:
                  steps: List[Any], ports: int, label: str = ""):
         self.instructions = instructions
         self.const_sites = const_sites
+        self.const_indices = tuple(index for index, _ in const_sites)
         self.const_ports = const_ports
         self.steps = steps
         self.ports = ports
@@ -727,50 +732,26 @@ class FusedPlan:
             for (port, _), stack in zip(self.const_ports, memo[1]):
                 slabs[port] = stack
 
-    def execute(self, executor: Executor, program: Program) -> None:
+    def execute(self, executor: Executor, program: Program,
+                hooks: Sequence[Hook] = ()) -> None:
+        """The fused run loop: one dispatch per plan step.
+
+        The CONST preload is the run's first dispatch (one for every
+        constant site, as :meth:`dispatch_count` counts it); each
+        dispatch is followed by the after-dispatch ``hooks`` chain
+        with the indices it executed.
+        """
         slabs: List[Any] = [None] * self.ports
         self.preload_constants(executor, program, slabs)
+        if hooks and self.const_indices:
+            for hook in hooks:
+                hook(executor, program, self.const_indices)
         for step in self.steps:
             step.execute(executor, program, slabs)
-
-    def execute_profiled(self, executor: Executor, program: Program,
-                         profiler) -> None:
-        """Timed twin of :meth:`execute`: per-group wall-clock events.
-
-        Each fused step is one timed event attributed to its opcode
-        with its member count (``record_group``); the CONST preload is
-        one event covering every constant site.
-        """
-        import time
-
-        clock = time.perf_counter_ns
-        registers = executor.registers
-        instructions = program.instructions
-        slabs: List[Any] = [None] * self.ports
-        if self.const_sites or self.const_ports:
-            started = clock()
-            self.preload_constants(executor, program, slabs)
-            elements = sum(int(registers[d].size)
-                           for _, d in self.const_sites)
-            profiler.record_group(
-                Opcode.CONST.value, "?", clock() - started,
-                calls=len(self.const_sites), elements=elements)
-        for step in self.steps:
-            started = clock()
-            step.execute(executor, program, slabs)
-            elapsed = clock() - started
-            first = instructions[step.indices[0]]
-            prov = first.provenance
-            stage = prov.stage if prov is not None and prov.stage else "?"
-            elements = 0
-            for index in step.indices:
-                for dst in instructions[index].dsts:
-                    value = registers.get(dst)
-                    if value is not None:
-                        elements += int(value.size)
-            profiler.record_group(step.op.value, stage, elapsed,
-                                  calls=step.size, elements=elements)
-        profiler.record_program()
+            if hooks:
+                indices = step.indices
+                for hook in hooks:
+                    hook(executor, program, indices)
 
 
 class _PlanBuilder:
@@ -852,7 +833,7 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
             groups[key].append((position, instr))
         for key in order:
             members = groups[key]
-            indices = [p for p, _ in members]
+            indices = tuple(p for p, _ in members)
             instrs = [i for _, i in members]
             first = instrs[0]
             if first.op is Opcode.QR and key[2] is not None:
@@ -933,45 +914,25 @@ def plan_for(program: Program) -> FusedPlan:
 class FusedExecutor(Executor):
     """Executes programs through cached fused plans.
 
-    A drop-in :class:`Executor`: same constructor, same ``run`` &
-    register-file contract, same results.  Instrumentation composes:
-
-    - value tracing (:mod:`repro.obs.vtrace`) replays per-instruction
-      digests in program order after the fused run — SSA registers are
-      written exactly once, so the final register file reproduces every
-      instruction's destination values and the trace is byte-identical
-      to an interpreter trace;
-    - wall-clock profiling (:mod:`repro.obs.wallclock`) records one
-      timed event per fused group (``record_group``).
+    A drop-in :class:`Executor`: same constructor and hook chain, same
+    ``run`` & register-file contract, same results.  The run loop is
+    :meth:`FusedPlan.execute`; hooks see the CONST preload's sites and
+    then each step's members.  The value tracer (:mod:`repro.obs.vtrace`)
+    replays per-instruction digests in program order after the run (SSA
+    registers are written exactly once, so the trace is byte-identical
+    to an interpreter trace); the wall-clock profiler
+    (:mod:`repro.obs.wallclock`) records one event per dispatch.
     """
 
-    def run(self, program: Program) -> Dict[str, np.ndarray]:
-        plan = plan_for(program)
-        profiler = wallclock.active()
-        tracer = vtrace.active()
-        if tracer is not None:
-            return self._run_traced(program, plan, tracer, profiler)
-        if profiler is not None:
-            plan.execute_profiled(self, program, profiler)
-            return self.registers
-        plan.execute(self, program)
-        return self.registers
+    traces_per_dispatch = False
 
-    def _run_traced(self, program: Program, plan: FusedPlan, tracer,
-                    profiler) -> Dict[str, np.ndarray]:
-        registers = self.registers
-        tracer.begin_program(program)
-        try:
-            if profiler is None:
-                plan.execute(self, program)
-            else:
-                plan.execute_profiled(self, program, profiler)
-            trace_instr = tracer.record_instruction
-            for instr in program.instructions:
-                trace_instr(instr, registers)
-        finally:
-            tracer.end_program()
-        return self.registers
+    # The same function, bound in this class's own namespace: wrappers
+    # that patch one backend's ``run`` (the perfbench layer ledger
+    # patches both classes) must not see the other backend's runs.
+    run = Executor.run
+
+    def dispatch(self, program: Program, hooks: Sequence[Hook]) -> None:
+        plan_for(program).execute(self, program, hooks)
 
 
 # ----------------------------------------------------------------------

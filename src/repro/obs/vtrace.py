@@ -27,7 +27,11 @@ just that they do).
   **no-op by default**.  :meth:`~repro.compiler.executor.Executor.run`
   checks :func:`active` once per program, so the disabled path costs
   one module-global read per ``run()`` call
-  (``tests/compiler/test_executor_overhead.py`` holds the bound).
+  (``tests/compiler/test_executor_overhead.py`` holds the bound).  An
+  active recorder joins the run's after-dispatch hook chain
+  (:meth:`ValueTraceRecorder.record`); ``begin_program``/``end_program``
+  bracket the run in a ``try``/``finally``, so a run that raises still
+  writes its footer.
 
 Trace file layout (one JSON object per line, ``sort_keys`` so identical
 runs are byte-identical)::
@@ -162,7 +166,7 @@ class ValueTraceRecorder:
             self._fh.write("\n".join(self._buffer) + "\n")
             self._buffer = []
 
-    # -- recording (called from Executor._run_traced) --------------------
+    # -- recording (driven by Executor.run) -------------------------------
     def begin_program(self, program) -> None:
         if self._ring is not None:
             self._ring.clear()
@@ -179,7 +183,7 @@ class ValueTraceRecorder:
         """Digest one executed instruction's destination registers.
 
         ``registers`` is the executor's register file *after* the
-        write, exactly like the wallclock profiler's hook.
+        write, exactly like the wallclock profiler's stop hook.
         """
         seq = self._seq
         self._seq += 1
@@ -213,6 +217,20 @@ class ValueTraceRecorder:
                 for name in instr.dsts if registers.get(name) is not None
             }))
 
+    def record(self, executor, program, indices) -> None:
+        """After-dispatch hook (:data:`~repro.compiler.executor.Hook`):
+        record each of ``indices`` in order.
+
+        The interpreter chains this per dispatch; the fused backend calls
+        it once after its run with every index in program order (SSA
+        registers are written once, so the final register file holds
+        each instruction's destinations and the trace is byte-identical).
+        """
+        instructions = program.instructions
+        registers = executor.registers
+        for index in indices:
+            self.record_instruction(instructions[index], registers)
+
     def end_program(self) -> None:
         footer: Dict[str, Any] = {
             "kind": "end",
@@ -243,7 +261,7 @@ def active() -> Optional[ValueTraceRecorder]:
     """The installed recorder, or None while tracing is off.
 
     This is the one check :meth:`Executor.run` performs per program;
-    the per-instruction digest loop only exists while a recorder is
+    the digest hook only joins the run's chain while a recorder is
     active.
     """
     return _active

@@ -1,19 +1,23 @@
-"""Host wall-clock profiler for the MO-ISA interpreter hot path.
+"""Host wall-clock profiler for the MO-ISA executors' hot path.
 
 The cycle domain is deeply observable (provenance attribution, top-down
-accounting), but the *host* cost of interpreting MO-ISA instructions in
-pure Python — the dominant end-to-end wall-clock now that compilation is
+accounting), but the *host* cost of executing MO-ISA instructions in
+Python — the dominant end-to-end wall-clock now that compilation is
 cached — was unmeasured.  This module profiles it:
 
 - :class:`WallclockProfiler` aggregates per-opcode **self time**
-  (``time.perf_counter_ns`` around each handler), call counts, and
+  (``time.perf_counter_ns`` around each dispatch), call counts, and
   operand element counts, crossed with the instruction's provenance
   stage (``construct.error``, ``eliminate``, ...).
+- It joins a run as a pair of after-dispatch hooks
+  (:meth:`WallclockProfiler.dispatch_hooks`): a stop hook at the head of
+  the executor's hook chain and a start hook at its tail, so each
+  dispatch — one interpreted instruction, or one fused group — is one
+  :meth:`~WallclockProfiler.record` and no other hook's time is counted.
 - Activation follows the :mod:`repro.obs.core` conventions: **no-op by
   default**.  :meth:`~repro.compiler.executor.Executor.run` checks
   :func:`active` once per program — not per instruction — so the
-  disabled path costs one module-global read per ``run()`` call and the
-  interpreter loop itself is untouched
+  disabled path costs one module-global read per ``run()`` call
   (``tests/compiler/test_executor_overhead.py`` holds the bound).
 - A drained snapshot is plain JSON-able data; it ships in BENCH
   documents (``solve_wall_clock.apps.<name>.profile``) and metrics
@@ -28,6 +32,7 @@ are *not* recorded here — they go through the existing span collector
 
 from __future__ import annotations
 
+import time
 from typing import Any, Dict, Optional
 
 WALLCLOCK_SCHEMA = "repro.obs.wallclock/1"
@@ -40,7 +45,7 @@ __all__ = [
 
 
 class WallclockProfiler:
-    """Aggregates per-opcode host self time for interpreted programs.
+    """Aggregates per-opcode host self time for executed programs.
 
     The table is keyed ``(opcode, provenance stage)``; cells accumulate
     call counts, self nanoseconds, and result element counts.  One
@@ -54,40 +59,17 @@ class WallclockProfiler:
         self._table: Dict[tuple, list] = {}
         self._programs = 0
 
-    # -- recording (the interpreter hot path) ---------------------------
-    def record_instruction(self, instr, elapsed_ns: int,
-                           registers: Dict[str, Any]) -> None:
-        """Account one executed instruction's handler time.
+    # -- recording (one record per dispatch) ----------------------------
+    def record(self, opcode: str, stage: str, elapsed_ns: int,
+               calls: int = 1, elements: int = 0) -> None:
+        """Account one dispatch covering ``calls`` instructions.
 
-        ``registers`` is the executor's register file *after* the write,
-        so destination sizes measure the elements the handler produced.
-        """
-        elements = 0
-        for name in instr.dsts:
-            value = registers.get(name)
-            if value is not None:
-                elements += int(value.size)
-        prov = instr.provenance
-        stage = prov.stage if prov is not None and prov.stage else "?"
-        key = (instr.op.value, stage)
-        cell = self._table.get(key)
-        if cell is None:
-            self._table[key] = [1, elapsed_ns, elements]
-        else:
-            cell[0] += 1
-            cell[1] += elapsed_ns
-            cell[2] += elements
-
-    def record_group(self, opcode: str, stage: str, elapsed_ns: int,
-                     calls: int, elements: int = 0) -> None:
-        """Account one fused block op covering ``calls`` instructions.
-
-        The fused backend (:mod:`repro.compiler.fused`) dispatches whole
-        same-opcode groups at once; the group's wall time lands in the
-        same ``(opcode, stage)`` table as interpreted instructions, with
-        ``calls`` equal to the group size, so ``hotspots`` views stay
-        comparable across executors (per-call time then reads as
-        amortized time per fused instruction).
+        An interpreted instruction is one call; a fused block op
+        (:mod:`repro.compiler.fused`) lands in the same
+        ``(opcode, stage)`` cell with ``calls`` equal to its member
+        count, so ``hotspots`` views stay comparable across executors
+        (per-call time then reads as amortized time per fused
+        instruction).
         """
         key = (opcode, stage)
         cell = self._table.get(key)
@@ -97,6 +79,43 @@ class WallclockProfiler:
             cell[0] += calls
             cell[1] += elapsed_ns
             cell[2] += elements
+
+    def dispatch_hooks(self):
+        """A ``(stop, start)`` :data:`~repro.compiler.executor.Hook` pair
+        timing one run's dispatches.
+
+        ``stop`` goes at the head of the run's hook chain and records
+        the time since ``start`` ran, at the chain's tail (the executor
+        calls it once more before the first dispatch).  Other hooks'
+        time therefore never counts as dispatch time.  The dispatch is
+        attributed to its first instruction's opcode and provenance
+        stage, with its members' destination element counts read from
+        the register file *after* the write.
+        """
+        clock = time.perf_counter_ns
+        started = 0
+        record = self.record
+
+        def stop(executor, program, indices) -> None:
+            elapsed = clock() - started
+            instructions = program.instructions
+            registers = executor.registers
+            elements = 0
+            for index in indices:
+                for name in instructions[index].dsts:
+                    value = registers.get(name)
+                    if value is not None:
+                        elements += int(value.size)
+            first = instructions[indices[0]]
+            prov = first.provenance
+            stage = prov.stage if prov is not None and prov.stage else "?"
+            record(first.op.value, stage, elapsed, len(indices), elements)
+
+        def start(executor, program, indices) -> None:
+            nonlocal started
+            started = clock()
+
+        return stop, start
 
     def record_program(self) -> None:
         """Count one profiled program execution (for per-run averages)."""
@@ -144,7 +163,7 @@ def active() -> Optional[WallclockProfiler]:
     """The installed profiler, or None while profiling is off.
 
     This is the one check :meth:`Executor.run` performs per program; the
-    per-instruction timing loop only exists while a profiler is active.
+    timing hooks only join the run's chain while a profiler is active.
     """
     return _active
 

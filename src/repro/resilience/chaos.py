@@ -162,7 +162,7 @@ def _bit_identical(golden: Dict, candidate: Dict) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Injectors (see repro.resilience.supervisor.Injector)
+# Injectors: after-dispatch hooks (see repro.compiler.executor.Hook)
 # ----------------------------------------------------------------------
 
 def _transient_handler_injector() -> Callable:

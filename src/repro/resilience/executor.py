@@ -33,7 +33,7 @@ from repro.compiler.executor import Executor
 from repro.compiler.isa import Instruction, Program
 from repro.obs import counters
 from repro.resilience import abft
-from repro.resilience.faults import FaultEvent, FaultPlan, corrupt_arrays
+from repro.resilience.faults import FaultEvent, FaultPlan, corrupt_registers
 from repro.resilience.spec import (
     ESCALATE_ERROR,
     FAULT_DROP,
@@ -200,9 +200,7 @@ class ResilientExecutor(Executor):
                 self.registers.pop(dst, None)
             return True
         if event.kind in VALUE_KINDS:
-            outputs = [self.registers[d] for d in instr.dsts]
-            dst, corrupted = corrupt_arrays(event, outputs)
-            self.registers[instr.dsts[dst]] = corrupted
+            corrupt_registers(self.registers, instr, event)
         return False
 
     def _verify(self, instr: Instruction) -> Optional[bool]:

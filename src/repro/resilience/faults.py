@@ -230,3 +230,36 @@ def corrupt_arrays(event: FaultEvent,
         delta = event.sign * event.magnitude
         flat[idx] = flat[idx] + delta * max(1.0, abs(flat[idx]))
     return dst, out
+
+
+def corrupt_registers(registers, instr: Instruction,
+                      event: FaultEvent) -> None:
+    """Corrupt one of ``instr``'s destination registers in place.
+
+    The one value-fault write both injection paths share: the
+    :class:`~repro.resilience.executor.ResilientExecutor` recovery loop
+    and :func:`value_fault_hook`.
+    """
+    dst, corrupted = corrupt_arrays(
+        event, [registers[name] for name in instr.dsts])
+    registers[instr.dsts[dst]] = corrupted
+
+
+def value_fault_hook(plan: FaultPlan):
+    """An after-dispatch hook (:data:`~repro.compiler.executor.Hook`)
+    that corrupts ``plan``'s value-fault sites as they execute.
+
+    No detection and no recovery: chained ahead of the value tracer, it
+    records the corrupted digests exactly as a faulty backend would have
+    produced them -- the forensics target of :mod:`repro.obs.divergence`.
+    Interpreter only: fused consumers read step slabs, not registers.
+    """
+    def hook(executor, program, indices) -> None:
+        instructions = program.instructions
+        for index in indices:
+            instr = instructions[index]
+            event = plan.event_for(instr.uid)
+            if event is not None and instr.dsts \
+                    and event.kind in VALUE_KINDS:
+                corrupt_registers(executor.registers, instr, event)
+    return hook

@@ -9,9 +9,10 @@ CompiledSolver` in four layers of supervision:
 
 1. **Deadline enforcement** — a :class:`~repro.optim.safeguards.
    DeadlineGuard` with per-phase (compile / execute / total) wall-clock
-   deadlines, checked at instruction-group boundaries by the supervised
-   executors below.  An execute deadline demotes down the ladder (this
-   rung is too slow); the total deadline aborts with a structured
+   deadlines, checked by an after-dispatch hook (every ``check_every``
+   instructions on the interpreter, every step on the fused backend).
+   An execute deadline demotes down the ladder (this rung is too
+   slow); the total deadline aborts with a structured
    :class:`~repro.errors.DeadlineExceeded` carrying partial progress.
 2. **Bounded retry with exponential backoff + jitter** — transient
    failures (:class:`~repro.errors.FaultInjectionError`, handler
@@ -55,9 +56,9 @@ from repro.errors import (
     OptimizationError,
     ResilienceError,
 )
-from repro.compiler.executor import Executor
-from repro.compiler.fused import FusedExecutor, plan_for
-from repro.compiler.isa import Opcode, Program
+from repro.compiler.executor import Executor, Hook
+from repro.compiler.fused import FusedExecutor, plan_slot
+from repro.compiler.isa import Opcode
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
@@ -70,14 +71,14 @@ __all__ = [
     "RUNG_FUSED",
     "RUNG_INTERPRETER",
     "RUNG_REFERENCE",
-    "SupervisedExecutor",
-    "SupervisedFusedExecutor",
     "SupervisedSolver",
     "SupervisorConfig",
     "active_supervision",
     "disable_supervision",
     "enable_supervision",
+    "instruction_deadline_hook",
     "ladder_for_backend",
+    "step_deadline_hook",
     "verify_template_integrity",
 ]
 
@@ -258,86 +259,41 @@ class CircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Supervised executors: deadline checks at instruction-group boundaries
+# Deadline hooks: the guard checked after dispatches (see executor.Hook)
 # ----------------------------------------------------------------------
 
-# Injector protocol (used by the chaos campaign): a callable
-# ``inject(executor, program, indices)`` invoked after each dispatch
-# with the instruction indices just executed — one index for the
-# interpreter, a whole fused group for the fused executor.  Injectors
-# may raise (handler exception), mutate registers (NaN storm / silent
-# corruption), or sleep (slow op).
-Injector = Callable[[Executor, Program, Sequence[int]], None]
+def instruction_deadline_hook(guard: DeadlineGuard,
+                              check_every: int = 32) -> Hook:
+    """Check ``guard`` every ``check_every`` interpreted instructions
+    and after the last one."""
+    every = max(1, int(check_every))
 
-
-class SupervisedExecutor(Executor):
-    """The instruction-level interpreter under deadline supervision.
-
-    With neither a guard nor an injector installed this is exactly the
-    base :class:`Executor` (same instrumentation fast paths); otherwise
-    the run loop checks the deadline guard every ``check_every``
-    instructions and feeds the chaos injector after each one.
-    """
-
-    def __init__(self, guard: Optional[DeadlineGuard] = None,
-                 check_every: int = 32,
-                 injector: Optional[Injector] = None):
-        super().__init__()
-        self.guard = guard
-        self.check_every = max(1, int(check_every))
-        self.injector = injector
-
-    def run(self, program: Program) -> Dict[str, np.ndarray]:
-        guard = self.guard
-        injector = self.injector
-        if guard is None and injector is None:
-            return super().run(program)
-        instructions = program.instructions
-        total = len(instructions)
-        for index, instr in enumerate(instructions):
-            self.execute(instr)
-            if injector is not None:
-                injector(self, program, (index,))
-            if guard is not None and (index + 1) % self.check_every == 0:
-                guard.check(partial={"instructions": index + 1,
-                                     "total_instructions": total})
-        if guard is not None:
-            guard.check(partial={"instructions": total,
+    def hook(executor, program, indices) -> None:
+        done = indices[-1] + 1
+        total = len(program.instructions)
+        if done % every == 0 or done == total:
+            guard.check(partial={"instructions": done,
                                  "total_instructions": total})
-        return self.registers
+    return hook
 
 
-class SupervisedFusedExecutor(FusedExecutor):
-    """The fused vectorized backend under deadline supervision.
+def step_deadline_hook(guard: DeadlineGuard) -> Hook:
+    """Check ``guard`` after every fused plan step, for one run.
 
-    Fused plans already dispatch in instruction groups, so the natural
-    deadline boundary is after each batched step; the injector sees the
-    group's member instruction indices.
+    The CONST preload is not a plan step; ``groups`` counts the steps
+    done so far.
     """
+    done = 0
 
-    def __init__(self, guard: Optional[DeadlineGuard] = None,
-                 injector: Optional[Injector] = None):
-        super().__init__()
-        self.guard = guard
-        self.injector = injector
-
-    def run(self, program: Program) -> Dict[str, np.ndarray]:
-        guard = self.guard
-        injector = self.injector
-        if guard is None and injector is None:
-            return super().run(program)
-        plan = plan_for(program)
-        slabs: List[Any] = [None] * plan.ports
-        plan.preload_constants(self, program, slabs)
-        total = len(plan.steps)
-        for position, step in enumerate(plan.steps):
-            step.execute(self, program, slabs)
-            if injector is not None:
-                injector(self, program, tuple(step.indices))
-            if guard is not None:
-                guard.check(partial={"groups": position + 1,
-                                     "total_groups": total})
-        return self.registers
+    def hook(executor, program, indices) -> None:
+        nonlocal done
+        if program.instructions[indices[0]].op is Opcode.CONST:
+            return
+        done += 1
+        guard.check(partial={
+            "groups": done,
+            "total_groups": len(plan_slot(program)["plan"].steps)})
+    return hook
 
 
 # ----------------------------------------------------------------------
@@ -423,13 +379,18 @@ class SupervisedSolver:
 
     ``sleep`` is the backoff sleeper (injectable so tests and campaigns
     pay no real wall-clock for retries); ``injectors`` maps ladder rung
-    names to chaos injectors (see :data:`Injector`).
+    names to chaos injectors: after-dispatch hooks
+    (:data:`~repro.compiler.executor.Hook`) that may raise (handler
+    exception), write registers (NaN storm / silent corruption), or
+    sleep (slow op).  Each attempt runs a plain executor whose hook
+    chain is the rung's injector, then the deadline hook when a
+    deadline is armed.
     """
 
     def __init__(self, config: Optional[SupervisorConfig] = None,
                  cache=None, max_entries: int = 8,
                  sleep: Callable[[float], None] = time.sleep,
-                 injectors: Optional[Dict[str, Injector]] = None):
+                 injectors: Optional[Dict[str, Hook]] = None):
         from repro.compiler.cache import CompilationCache
 
         self.config = config if config is not None else SupervisorConfig()
@@ -701,14 +662,19 @@ class SupervisedSolver:
             self._last_program = None
             return delta
 
+        hooks = []
         injector = self._injectors.get(rung)
+        if injector is not None:
+            hooks.append(injector)
         if rung == RUNG_FUSED:
-            executor = SupervisedFusedExecutor(
-                guard=guard if armed else None, injector=injector)
+            if armed:
+                hooks.append(step_deadline_hook(guard))
+            executor = FusedExecutor(hooks)
         else:
-            executor = SupervisedExecutor(
-                guard=guard if armed else None,
-                check_every=self.config.check_every, injector=injector)
+            if armed:
+                hooks.append(instruction_deadline_hook(
+                    guard, self.config.check_every))
+            executor = Executor(hooks)
         with trace.span("solve.execute", category="host.phase", rung=rung,
                         instructions=len(compiled.program)):
             registers = executor.run(compiled.program)

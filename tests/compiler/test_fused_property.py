@@ -316,3 +316,31 @@ def test_plan_cached_per_program_structure():
     plan_a = plan_for(program)
     plan_b = plan_for(program)
     assert plan_a is plan_b
+
+
+@pytest.mark.parametrize("op", [Opcode.RV, Opcode.MV])
+@pytest.mark.parametrize("seed", range(4))
+def test_singleton_rt_feeding_batched_matvec_is_exact(op, seed):
+    """A lone RT (no batch, so the interpreter handler writes an
+    F-ordered ``a.T``) feeding a batched mat-vec group through the
+    register file: the product must be bit-identical, no ulp escape."""
+    rng = np.random.default_rng(seed)
+    program = Program(algorithm="rt-matvec")
+    rot = program.new_register("c", (3, 3))
+    program.emit(Opcode.CONST, [], [rot],
+                 meta={"value": rng.standard_normal((3, 3))})
+    rot_t = program.new_register("r", (3, 3))
+    program.emit(Opcode.RT, [rot], [rot_t])
+    for _ in range(16):
+        vec = program.new_register("c", (3,))
+        program.emit(Opcode.CONST, [], [vec],
+                     meta={"value": rng.standard_normal(3)})
+        dst = program.new_register("r", (3,))
+        program.emit(op, [rot_t, vec], [dst])
+    plan = build_plan(program)
+    assert [(s.op, s.batched, s.size) for s in plan.steps] == \
+        [(Opcode.RT, False, 1), (op, True, 16)]
+    interp, fused = run_both(program)
+    assert set(interp) == set(fused)
+    for name in interp:
+        assert np.array_equal(interp[name], fused[name]), name

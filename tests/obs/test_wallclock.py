@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.executor import Executor
-from repro.compiler.isa import Instruction, Opcode, Program
+from repro.compiler.isa import Opcode, Program
 from repro.obs import wallclock
 from repro.obs.wallclock import (
     WALLCLOCK_SCHEMA,
@@ -38,7 +38,8 @@ class TestProfilerTable:
         ex = Executor()
         const = tiny_program().instructions[0]
         ex.execute(const)
-        profiler.record_instruction(const, 1500, ex.registers)
+        profiler.record(const.op.value, "?", 1500,
+                        elements=ex.registers[const.dsts[0]].size)
         snap = profiler.snapshot()
         assert snap["schema"] == WALLCLOCK_SCHEMA
         assert snap["instructions"] == 1
@@ -50,19 +51,15 @@ class TestProfilerTable:
 
     def test_cells_accumulate_per_opcode_and_stage(self):
         profiler = WallclockProfiler()
-        registers = {"x": np.zeros(3)}
-        instr = Instruction(uid=0, op=Opcode.COPY, srcs=["x"], dsts=["x"])
         for _ in range(4):
-            profiler.record_instruction(instr, 100, registers)
+            profiler.record(Opcode.COPY.value, "?", 100, elements=3)
         snap = profiler.snapshot()
         assert snap["by_opcode"]["copy"] == \
             {"calls": 4, "self_ns": 400, "elements": 12}
 
     def test_drain_resets(self):
         profiler = WallclockProfiler()
-        profiler.record_instruction(
-            Instruction(uid=0, op=Opcode.COPY, srcs=[], dsts=[]),
-            50, {})
+        profiler.record(Opcode.COPY.value, "?", 50)
         profiler.record_program()
         first = profiler.drain()
         assert first["instructions"] == 1

@@ -1,5 +1,6 @@
 """Supervised solve pipeline: deadlines, retry, ladder, breaker."""
 
+import json
 import time
 
 import numpy as np
@@ -373,6 +374,47 @@ class TestSupervisedSolver:
         assert report["degraded_solves"] == 1
         assert report["events_by_kind"]["retry"] == 1
         assert report["last_solve"]["events"] == []
+
+
+# ----------------------------------------------------------------------
+# Instruments compose with supervision
+# ----------------------------------------------------------------------
+
+class TestSupervisedInstrumentation:
+    @pytest.mark.parametrize("rung,backend", [
+        (RUNG_FUSED, "fused"),
+        (RUNG_INTERPRETER, "interpreter"),
+    ])
+    def test_armed_solve_is_profiled_and_traced(self, problem, tmp_path,
+                                                rung, backend):
+        """An armed deadline guard must not switch the instruments off:
+        the supervised run profiles every dispatch and traces exactly
+        what the unsupervised run on the same backend traces."""
+        from repro.obs import vtrace, wallclock
+
+        graph, values = problem
+        config = SupervisorConfig(total_deadline_s=600.0,
+                                  execute_deadline_s=600.0,
+                                  ladder=(rung, RUNG_REFERENCE))
+        supervised_path = tmp_path / "supervised.trace"
+        with wallclock.profiled_scope() as profiler, \
+                vtrace.recording_scope(supervised_path, ring_size=4):
+            solver = SupervisedSolver(config=config, sleep=no_sleep)
+            solver.solve(graph, values)
+        assert solver.last_report["rung"] == rung
+        assert solver.last_report["events"] == []
+        snap = profiler.drain()
+
+        plain_path = tmp_path / "plain.trace"
+        with vtrace.recording_scope(plain_path, ring_size=4):
+            CompiledSolver(executor=backend).solve(graph, values)
+
+        assert supervised_path.read_bytes() == plain_path.read_bytes()
+        header = [json.loads(line) for line in
+                  supervised_path.read_text().splitlines()][1]
+        assert header["kind"] == "program"
+        assert snap["programs"] == 1
+        assert snap["instructions"] == header["instructions"]
 
 
 # ----------------------------------------------------------------------
